@@ -9,6 +9,7 @@ and needs no third-party packages.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from repro.crypto.hashes import (DIGEST_SIZE, constant_time_eq, hmac_sha256,
@@ -17,16 +18,20 @@ from repro.errors import SealError
 
 NONCE_SIZE = 16
 TAG_SIZE = DIGEST_SIZE
+_COUNTER = struct.Struct("<Q").pack     # keystream block counter
 
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    out = bytearray(len(data))
-    for block in range(0, len(data), DIGEST_SIZE):
-        pad = sha256(key, nonce, struct.pack("<Q", block // DIGEST_SIZE))
-        chunk = data[block:block + DIGEST_SIZE]
-        for i, byte in enumerate(chunk):
-            out[block + i] = byte ^ pad[i]
-    return bytes(out)
+    n = len(data)
+    prefix = hashlib.sha256(key + nonce)
+    pad = []
+    for block in range((n + DIGEST_SIZE - 1) // DIGEST_SIZE):
+        h = prefix.copy()
+        h.update(_COUNTER(block))
+        pad.append(h.digest())
+    # XOR the whole buffer as one big-int operation.
+    stream = int.from_bytes(b"".join(pad)[:n], "little")
+    return (int.from_bytes(data, "little") ^ stream).to_bytes(n, "little")
 
 
 def _split_keys(key: bytes) -> tuple[bytes, bytes]:

@@ -72,9 +72,58 @@ class PagingStats:
                 "nested_refs": self.nested_refs}
 
 
-def _index(va: int, level: int) -> int:
-    """Index into the ``level``-th table (level 3 = root) for ``va``."""
-    return (va >> (12 + 9 * level)) & (ENTRIES_PER_TABLE - 1)
+# Plain-int views of the PTE bits.  The walker runs behind every simulated
+# load and store, and each IntFlag operation is a Python-level call, so the
+# hot paths test bits on ints and build a PageTableFlags only for the
+# Translation they return.
+_PRESENT = PageTableFlags.PRESENT.value
+_WRITABLE = PageTableFlags.WRITABLE.value
+_USER = PageTableFlags.USER.value
+_ACCESSED = PageTableFlags.ACCESSED.value
+_ACCESSED_DIRTY = _ACCESSED | PageTableFlags.DIRTY.value
+_NX = PageTableFlags.NX.value
+_TABLE_ENTRY = _PRESENT | _WRITABLE | _USER  # intermediate entries
+_FLAG_MASK = ~_ADDR_MASK & (2 ** 64 - 1)
+_PAGE_OFFSET = PAGE_SIZE - 1
+_VA_LIMIT = 1 << VA_BITS
+# ``(va >> (shift - 3)) & _SLOT`` is the byte offset of the entry for the
+# level that indexes ``va >> shift``: its 9-bit index times ENTRY_SIZE.
+_SLOT = (ENTRIES_PER_TABLE - 1) * ENTRY_SIZE
+
+
+class _FlagTable(dict):
+    """PTE flag bits -> PageTableFlags without the enum constructor's cost.
+
+    Holds every combination of the defined bits; any other value (a PTE
+    with software-available bits set) is built on demand, not stored.
+    """
+
+    def __missing__(self, bits: int) -> PageTableFlags:
+        return PageTableFlags(bits)
+
+
+def _defined_flag_values() -> list[int]:
+    values = [0]
+    for flag in PageTableFlags:         # the single-bit members
+        values += [value | flag.value for value in values]
+    return values
+
+
+_LEAF_FLAGS = _FlagTable((bits, PageTableFlags(bits))
+                         for bits in _defined_flag_values())
+
+
+def _protection_fault(va: int, entry: int, write: bool, user: bool,
+                      fetch: bool) -> PageFault:
+    """The #PF for an access the present leaf ``entry`` does not allow.
+
+    Checks run in hardware order: write, then user, then fetch.
+    """
+    if write and not entry & _WRITABLE:
+        return PageFault(va, write=True, user=user, present=True)
+    if user and not entry & _USER:
+        return PageFault(va, write=write, user=True, present=True)
+    return PageFault(va, fetch=True, user=user, present=True)
 
 
 def page_of(va: int) -> int:
@@ -112,15 +161,15 @@ class PageTable:
 
     def map(self, va: int, pa: int, flags: PageTableFlags) -> None:
         """Install a 4 KB mapping ``va -> pa`` with ``flags``."""
-        self._check_canonical(va)
+        if not 0 <= va < _VA_LIMIT:
+            raise PageFault(va, present=False)
         if va % PAGE_SIZE or pa % PAGE_SIZE:
             raise ValueError("map() requires page-aligned va and pa")
         sanitizer = self.phys.sanitizer
         if sanitizer is not None:
             sanitizer.on_pt_map(self, va, pa)
         entry_pa = self._ensure_entry(va)
-        self.phys.write_u64(entry_pa,
-                            pa | int(flags | PageTableFlags.PRESENT))
+        self.phys.write_u64(entry_pa, pa | int(flags) | _PRESENT)
 
     def unmap(self, va: int) -> int:
         """Remove the mapping for ``va``; returns the old PA."""
@@ -128,7 +177,7 @@ class PageTable:
         if entry_pa is None:
             raise PageFault(va, present=False)
         entry = self.phys.read_u64(entry_pa)
-        if not entry & PageTableFlags.PRESENT:
+        if not entry & _PRESENT:
             raise PageFault(va, present=False)
         self.phys.write_u64(entry_pa, 0)
         old_pa = entry & _ADDR_MASK
@@ -143,10 +192,10 @@ class PageTable:
         if entry_pa is None:
             raise PageFault(va, present=False)
         entry = self.phys.read_u64(entry_pa)
-        if not entry & PageTableFlags.PRESENT:
+        if not entry & _PRESENT:
             raise PageFault(va, present=False)
         pa = entry & _ADDR_MASK
-        self.phys.write_u64(entry_pa, pa | int(flags | PageTableFlags.PRESENT))
+        self.phys.write_u64(entry_pa, pa | int(flags) | _PRESENT)
         sanitizer = self.phys.sanitizer
         if sanitizer is not None:
             sanitizer.on_pt_protect(self, va)
@@ -166,12 +215,11 @@ class PageTable:
                      va_prefix: int) -> Iterator[tuple[int, int, PageTableFlags]]:
         for i in range(ENTRIES_PER_TABLE):
             entry = self.phys.read_u64(table_pa + i * ENTRY_SIZE)
-            if not entry & PageTableFlags.PRESENT:
+            if not entry & _PRESENT:
                 continue
             va = va_prefix | (i << (12 + 9 * level))
             if level == 0:
-                yield va, entry & _ADDR_MASK, PageTableFlags(
-                    entry & ~_ADDR_MASK)
+                yield va, entry & _ADDR_MASK, _LEAF_FLAGS[entry & _FLAG_MASK]
             else:
                 yield from self._walk_tables(entry & _ADDR_MASK, level - 1, va)
 
@@ -196,71 +244,62 @@ class PageTable:
 
     def _walk(self, va: int, *, write: bool, user: bool,
               fetch: bool, set_accessed: bool) -> Translation:
-        self._check_canonical(va)
-        table_pa = self.root_pa
-        refs = 0
-        for level in range(LEVELS - 1, -1, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
-            entry = self.phys.read_u64(entry_pa)
-            refs += 1
-            if not entry & PageTableFlags.PRESENT:
-                raise PageFault(va, write=write, user=user, fetch=fetch,
-                                present=False)
-            if level == 0:
-                flags = PageTableFlags(entry & ~_ADDR_MASK)
-                self._check_permissions(va, flags, write, user, fetch)
-                if set_accessed:
-                    new = entry | PageTableFlags.ACCESSED
-                    if write:
-                        new |= PageTableFlags.DIRTY
-                    if new != entry:
-                        self.phys.write_u64(entry_pa, new)
-                return Translation(pa=(entry & _ADDR_MASK) | (va & (PAGE_SIZE - 1)),
-                                   flags=flags, refs=refs)
-            table_pa = entry & _ADDR_MASK
-        raise AssertionError("unreachable")
-
-    @staticmethod
-    def _check_permissions(va: int, flags: PageTableFlags, write: bool,
-                           user: bool, fetch: bool) -> None:
-        if write and not flags & PageTableFlags.WRITABLE:
-            raise PageFault(va, write=True, user=user, present=True)
-        if user and not flags & PageTableFlags.USER:
-            raise PageFault(va, write=write, user=True, present=True)
-        if fetch and flags & PageTableFlags.NX:
-            raise PageFault(va, fetch=True, user=user, present=True)
+        if not 0 <= va < _VA_LIMIT:
+            raise PageFault(va, present=False)
+        read_u64 = self.phys.read_u64
+        # Levels 3..0 index va bits 47:39, 38:30, 29:21 and 20:12.
+        entry = read_u64(self.root_pa + ((va >> 36) & _SLOT))
+        if entry & _PRESENT:
+            entry = read_u64((entry & _ADDR_MASK) + ((va >> 27) & _SLOT))
+            if entry & _PRESENT:
+                entry = read_u64((entry & _ADDR_MASK) + ((va >> 18) & _SLOT))
+                if entry & _PRESENT:
+                    entry_pa = (entry & _ADDR_MASK) + ((va >> 9) & _SLOT)
+                    entry = read_u64(entry_pa)
+        if not entry & _PRESENT:
+            raise PageFault(va, write=write, user=user, fetch=fetch,
+                            present=False)
+        if (write and not entry & _WRITABLE) or (user and not entry & _USER) \
+                or (fetch and entry & _NX):
+            raise _protection_fault(va, entry, write, user, fetch)
+        if set_accessed:
+            new = entry | (_ACCESSED_DIRTY if write else _ACCESSED)
+            if new != entry:
+                self.phys.write_u64(entry_pa, new)
+        return Translation((entry & _ADDR_MASK) | (va & _PAGE_OFFSET),
+                           _LEAF_FLAGS[entry & _FLAG_MASK], LEVELS)
 
     # -- internals -------------------------------------------------------------
 
     def _ensure_entry(self, va: int) -> int:
         """Walk down, allocating intermediate tables; return the leaf PTE PA."""
+        read_u64 = self.phys.read_u64
         table_pa = self.root_pa
-        for level in range(LEVELS - 1, 0, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
-            entry = self.phys.read_u64(entry_pa)
-            if not entry & PageTableFlags.PRESENT:
+        for shift in (36, 27, 18):
+            entry_pa = table_pa + ((va >> shift) & _SLOT)
+            entry = read_u64(entry_pa)
+            if not entry & _PRESENT:
                 new_table = self._alloc()
                 self._table_frames.add(new_table)
                 # Intermediate entries: present+writable+user; leaf flags rule.
-                self.phys.write_u64(entry_pa, new_table | int(
-                    PageTableFlags.PRESENT | PageTableFlags.WRITABLE |
-                    PageTableFlags.USER))
+                self.phys.write_u64(entry_pa, new_table | _TABLE_ENTRY)
                 table_pa = new_table
             else:
                 table_pa = entry & _ADDR_MASK
-        return table_pa + _index(va, 0) * ENTRY_SIZE
+        return table_pa + ((va >> 9) & _SLOT)
 
     def _find_entry(self, va: int) -> int | None:
         """Return the leaf PTE PA for ``va`` or None if tables are missing."""
-        self._check_canonical(va)
+        if not 0 <= va < _VA_LIMIT:
+            raise PageFault(va, present=False)
+        read_u64 = self.phys.read_u64
         table_pa = self.root_pa
-        for level in range(LEVELS - 1, 0, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
-            entry = self.phys.read_u64(entry_pa)
-            if not entry & PageTableFlags.PRESENT:
+        for shift in (36, 27, 18):
+            entry = read_u64(table_pa + ((va >> shift) & _SLOT))
+            if not entry & _PRESENT:
                 return None
             table_pa = entry & _ADDR_MASK
-        return table_pa + _index(va, 0) * ENTRY_SIZE
+        return table_pa + ((va >> 9) & _SLOT)
 
     def destroy(self) -> None:
         """Free all table frames back to the allocator."""
@@ -269,11 +308,6 @@ class PageTable:
         for frame in sorted(self._table_frames, reverse=True):
             self._free(frame)
         self._table_frames.clear()
-
-    @staticmethod
-    def _check_canonical(va: int) -> None:
-        if not 0 <= va < (1 << VA_BITS):
-            raise PageFault(va, present=False)
 
 
 class NestedTranslator:
@@ -296,30 +330,26 @@ class NestedTranslator:
             self.stats.nested_walks += 1
         refs = 0
         table_gpa = self.gpt.root_pa
-        for level in range(LEVELS - 1, -1, -1):
+        read_u64 = self.gpt.phys.read_u64
+        for shift in (36, 27, 18, 9):
             # The GPT table page itself lives at a guest-physical address:
             # translate it through the NPT first.
             table_hpa, npt_refs = self._npt_translate(table_gpa, write=False)
-            refs += npt_refs
-            entry_pa = table_hpa + _index(gva, level) * ENTRY_SIZE
-            entry = self.gpt.phys.read_u64(entry_pa)
-            refs += 1
-            if not entry & PageTableFlags.PRESENT:
+            refs += npt_refs + 1
+            entry = read_u64(table_hpa + ((gva >> shift) & _SLOT))
+            if not entry & _PRESENT:
                 raise PageFault(gva, write=write, user=user, fetch=fetch,
                                 present=False)
-            if level == 0:
-                flags = PageTableFlags(entry & ~_ADDR_MASK)
-                PageTable._check_permissions(gva, flags, write, user, fetch)
-                leaf_gpa = (entry & _ADDR_MASK) | (gva & (PAGE_SIZE - 1))
-                leaf_hpa, npt_refs = self._npt_translate(leaf_gpa,
-                                                         write=write)
-                refs += npt_refs
-                if self.stats is not None:
-                    self.stats.nested_refs += refs
-                return Translation(pa=leaf_hpa, flags=flags, refs=refs)
             table_gpa = entry & _ADDR_MASK
-
-        raise AssertionError("unreachable")
+        if (write and not entry & _WRITABLE) or (user and not entry & _USER) \
+                or (fetch and entry & _NX):
+            raise _protection_fault(gva, entry, write, user, fetch)
+        leaf_hpa, npt_refs = self._npt_translate(
+            table_gpa | (gva & _PAGE_OFFSET), write=write)
+        refs += npt_refs
+        if self.stats is not None:
+            self.stats.nested_refs += refs
+        return Translation(leaf_hpa, _LEAF_FLAGS[entry & _FLAG_MASK], refs)
 
     def _npt_translate(self, gpa: int, *, write: bool) -> tuple[int, int]:
         try:

@@ -23,14 +23,25 @@ from repro.monitor.structs import (EnclaveConfig, EnclaveMode, PagePerm,
 ENCLAVE_BASE_VA = 0x2000_0000_0000
 
 
+def _pte_bits(perms: int) -> int:
+    bits = PageTableFlags.PRESENT.value | PageTableFlags.USER.value
+    if perms & PagePerm.W.value:
+        bits |= PageTableFlags.WRITABLE.value
+    if not perms & PagePerm.X.value:
+        bits |= PageTableFlags.NX.value
+    return bits
+
+
+# Every RWX combination, built once: IntFlag arithmetic costs microseconds
+# and the fault and swap paths map a page through here each time.
+_RWX = PagePerm.RWX.value
+_PTE_FLAGS = {perms: PageTableFlags(_pte_bits(perms))
+              for perms in range(_RWX + 1)}
+
+
 def perms_to_flags(perms: PagePerm) -> PageTableFlags:
     """Translate RWX page permissions into PTE flags."""
-    flags = PageTableFlags.PRESENT | PageTableFlags.USER
-    if perms & PagePerm.W:
-        flags |= PageTableFlags.WRITABLE
-    if not perms & PagePerm.X:
-        flags |= PageTableFlags.NX
-    return flags
+    return _PTE_FLAGS[int(perms) & _RWX]
 
 
 class EnclaveState(enum.Enum):

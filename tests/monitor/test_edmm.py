@@ -4,8 +4,10 @@ import pytest
 
 from repro.errors import EnclaveError, PageFault
 from repro.hw import costs
+from repro.hw.paging import PageTableFlags
 from repro.hw.phys import PAGE_SIZE, OwnerKind
-from repro.monitor.enclave import ENCLAVE_BASE_VA
+from repro.monitor.enclave import ENCLAVE_BASE_VA, perms_to_flags
+from repro.monitor.structs import PagePerm
 
 from .conftest import build_minimal_enclave
 
@@ -88,3 +90,24 @@ class TestSgx2EdmmCosts:
         with machine.cycles.measure() as span:
             monitor.enclave_mprotect(eid, HEAP_VA, 1, PagePerm.R)
         assert span.elapsed > costs.ocall_expected("sgx")
+
+
+def _intflag_perms_to_flags(perms):
+    """The IntFlag formulation perms_to_flags is table-driven from."""
+    flags = PageTableFlags.PRESENT | PageTableFlags.USER
+    if perms & PagePerm.W:
+        flags |= PageTableFlags.WRITABLE
+    if not perms & PagePerm.X:
+        flags |= PageTableFlags.NX
+    return flags
+
+
+@pytest.mark.parametrize("perms", [PagePerm(v) for v in range(16)]
+                         + [-1, 9, 0x1F])
+def test_perms_to_flags_matches_intflag_formula(perms):
+    # mprotect takes perms from enclave code, so undefined bits and plain
+    # ints must map exactly as the IntFlag formula maps them.
+    flags = perms_to_flags(perms)
+    expected = _intflag_perms_to_flags(perms)
+    assert type(flags) is PageTableFlags
+    assert int(flags) == int(expected)
