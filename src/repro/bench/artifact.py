@@ -134,9 +134,6 @@ def provenance() -> dict:
         "python": ".".join(map(str, sys.version_info[:3])),
         "git_commit": _git_commit(),
         "determinism": "seeded simulation (repro-lint R001)",
-        # Simulated figures are fastpath-invariant (pinned by
-        # tests/fastpath); wall-clock throughput is not, so the gate
-        # skips throughput.* when baseline and current modes differ.
         "fastpath": fastpath.mode_name(),
     }
 

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 # Band for throughput.* metrics when the baseline predates per-spec
 # bands; matches BenchSpec.throughput_tolerance's default.  Tightened
 # from 0.75 after the fast-path work: the regenerated baselines encode
-# the ≥5x speedup, and 0.6 keeps the floor well above the legacy path
-# so a silent fast-path regression trips the gate.
+# the ≥5x speedup, and 0.6 keeps the floor well above the speed of the
+# per-line reference loops, so a silent fast-path regression trips the
+# gate.
 DEFAULT_THROUGHPUT_TOLERANCE = 0.6
 
 
@@ -173,26 +174,9 @@ def compare_artifacts(baseline: dict, current: dict,
     throughput_tolerance = (baseline.get("throughput") or {}).get(
         "tolerance", DEFAULT_THROUGHPUT_TOLERANCE)
 
-    # Wall-clock throughput is only comparable when both runs used the
-    # same fast-path mode (REPRO_FASTPATH): the legacy reference path is
-    # several times slower by design, not by regression.  Simulated
-    # metrics still gate exactly — they are fastpath-invariant.
-    base_mode = baseline.get("provenance", {}).get("fastpath")
-    cur_mode = current.get("provenance", {}).get("fastpath")
-    skip_throughput_family = False
-    if base_mode is not None and cur_mode is not None \
-            and base_mode != cur_mode:
-        skip_throughput_family = True
-        result.notes.append(
-            f"fastpath mode differs (baseline {base_mode!r}, current "
-            f"{cur_mode!r}); skipping throughput.* metrics — wall-clock "
-            f"speed is only gated within one mode")
-
     for metric in sorted(set(base_metrics) | set(cur_metrics)):
         if metric not in base_metrics and \
                 any(metric.startswith(prefix) for prefix in skip_prefixes):
-            continue
-        if skip_throughput_family and metric.startswith("throughput."):
             continue
         if metric == "throughput.sim_cycles_per_wall_second":
             result.deltas.append(MetricDelta(

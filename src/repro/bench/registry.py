@@ -79,8 +79,8 @@ class BenchSpec:
     # exact tables keep their zero cycle band.  Tightened 0.75 -> 0.6
     # with the fast-path baselines: the committed floors now encode the
     # memoized/batched hot loops, and a band any wider would let the
-    # fast path silently regress most of the way back to the legacy
-    # reference implementation without tripping the gate.
+    # fast path silently regress most of the way back to the speed of
+    # the per-line reference loops without tripping the gate.
     throughput_tolerance: float = 0.6
     figures: FigureFn = field(default=_identity)
 

@@ -5,7 +5,7 @@ model (``repro.hw.memmodel``) and the memory-encryption engines consult it:
 hits cost :data:`~repro.hw.costs.LLC_HIT_CYCLES`, misses cost a DRAM access
 plus whatever the active encryption engine charges per missed line.
 
-:meth:`Llc.access_range` is the fast-path bulk kernel: it processes an
+:meth:`Llc.access_range` is the bulk kernel: it processes an
 ascending line range in one call, taking provably exact shortcuts for the
 all-hit and all-miss cases (including the cyclic-sweep all-miss case where
 residual entries are always evicted before being reached) and falling back
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.hw import costs, fastpath
+from repro.hw import costs
 
 
 class Llc:
@@ -61,7 +61,7 @@ class Llc:
             _, evicted_dirty = self._lines.popitem(last=False)
         return False, evicted_dirty
 
-    # -- bulk range kernel (fast path) ---------------------------------------
+    # -- bulk range kernel ---------------------------------------------------
 
     def _sweep_evicts_all(self, first: int, last: int) -> bool:
         """True when an all-miss sweep of ``[first, last]`` is exact.
@@ -78,13 +78,6 @@ class Llc:
         """
         lines = self._lines
         bound = first + self.capacity_lines - len(lines)
-        np = fastpath.np
-        if np is not None and len(lines) > 2048:
-            keys = np.fromiter(lines.keys(), dtype=np.int64,
-                               count=len(lines))
-            pos = np.arange(1, len(lines) + 1, dtype=np.int64)
-            in_range = (keys >= first) & (keys <= last)
-            return bool(np.all(~in_range | (keys - pos >= bound)))
         for i, k in enumerate(lines, 1):
             if first <= k <= last and k - i < bound:
                 return False

@@ -13,7 +13,7 @@ and freshness).  Both act at cache-line granularity on LLC misses:
 
 All constants live in :mod:`repro.hw.costs`.
 
-:meth:`IntelMee.miss_cycles_run` is the fast-path bulk kernel: within a
+:meth:`IntelMee.miss_cycles_run` is the bulk kernel: within a
 run of consecutive missed lines only the *first* line of each level-1
 counter-tree group walks the tree; the rest probe the just-refreshed node
 and hit, so their cost and counter effects are closed-form.  Charges and
@@ -39,6 +39,16 @@ class EncryptionEngine:
 
         ``streaming`` marks prefetcher-friendly sequential misses, whose
         decrypt latency the pipeline hides almost completely.
+        """
+        return 0.0
+
+    def missed_cycles(self, misses: int, runs: list[tuple[int, int]], *,
+                      write: bool = False, streaming: bool = False) -> float:
+        """Extra cycles for ``misses`` missed lines in ascending ``runs``.
+
+        ``runs`` are the half-open ``(start, stop)`` line runs from
+        :meth:`~repro.hw.cache.Llc.access_range`; the total equals the
+        per-line :meth:`miss_cycles` sum bit for bit.
         """
         return 0.0
 
@@ -74,6 +84,11 @@ class AmdSme(EncryptionEngine):
     def miss_cycles(self, line_id: int, *, write: bool = False,
                     streaming: bool = False) -> float:
         return self.per_stream_miss if streaming else self.per_miss
+
+    def missed_cycles(self, misses: int, runs: list[tuple[int, int]], *,
+                      write: bool = False, streaming: bool = False) -> float:
+        per = self.per_stream_miss if streaming else self.per_miss
+        return misses * per
 
     def writeback_cycles(self) -> float:
         return self.per_writeback
@@ -171,6 +186,14 @@ class IntelMee(EncryptionEngine):
                 group_hits += rest
             line = group_end
         self.metadata_hits += group_hits
+        return extra
+
+    def missed_cycles(self, misses: int, runs: list[tuple[int, int]], *,
+                      write: bool = False, streaming: bool = False) -> float:
+        extra = 0.0
+        for start, stop in runs:
+            extra += self.miss_cycles_run(start, stop, write=write,
+                                          streaming=streaming)
         return extra
 
     def writeback_cycles(self) -> float:

@@ -14,65 +14,27 @@ ELDU + driver); sustained thrashing switches to the driver's cheaper
 batched-eviction path — this produces the Figure 8b cliff and the
 beyond-EPC regime of Figure 11.
 
-Two implementations drive the pipeline (see :mod:`repro.hw.fastpath`):
-the per-page/per-line *legacy* reference loops (``REPRO_FASTPATH=0``)
-and the default *fast* path, which memoizes translations above the TLB
+The pipeline memoizes translations above the TLB
 (:meth:`~repro.hw.tlb.Tlb.fast_hit`), processes the line range through
 the bulk :meth:`~repro.hw.cache.Llc.access_range` kernel, and charges
-engine costs per missed *run* instead of per line.  Every cost constant
-on this path is integer-valued (guarded at eligibility time), so the
-re-associated sums are exact and the charge — a single
-:meth:`~repro.hw.cycles.CycleCounter.charge` per touch, as before — is
-bit-identical to the legacy path.
+engine costs per missed *run* (:meth:`EncryptionEngine.missed_cycles`)
+instead of per line, with a single
+:meth:`~repro.hw.cycles.CycleCounter.charge` per touch.  Every cost
+constant it re-associates is integer-valued, so the sums are exact and
+the charges are bit-identical to the per-page/per-line reference loops
+kept as the test oracle in ``tests/fastpath/conftest.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from repro.hw import costs, fastpath
+from repro.hw import costs
 from repro.hw.cache import Llc
 from repro.hw.cycles import CycleCounter
-from repro.hw.memenc import (AmdSme, EncryptionEngine, IntelMee,
-                             NoEncryption)
+from repro.hw.memenc import EncryptionEngine, NoEncryption
 from repro.hw.phys import PAGE_SIZE
 from repro.hw.tlb import Tlb
-
-# Fast-path eligibility, part 1: every cost constant the bulk kernels
-# re-associate must be integer-valued, so that summing them in a
-# different order (n * cost instead of cost + cost + ...) is exact in
-# floating point.  Evaluated once at import; a calibrated cost model
-# with fractional per-line constants simply keeps the legacy loops.
-_INTEGRAL_COSTS = all(float(value).is_integer() for value in (
-    costs.LLC_HIT_CYCLES, costs.DRAM_CYCLES, costs.SEQ_STREAM_CYCLES,
-    costs.PAGE_WALK_GUEST_CYCLES, costs.PAGE_WALK_NESTED_CYCLES,
-    costs.MEE_METADATA_PROBE_CYCLES, costs.MEE_METADATA_MISS_CYCLES,
-    costs.SGX_EPC_POPULATE_CYCLES, costs.SGX_EPC_FAULT_CYCLES,
-    costs.SGX_EPC_FAULT_BATCHED_CYCLES))
-
-# Fast-path eligibility, part 2: engine dispatch.  Exact-type checks on
-# purpose — a subclass overriding miss_cycles must fall back to the
-# legacy per-line loop that actually calls it.
-_KIND_NONE, _KIND_FLAT, _KIND_MEE, _KIND_INELIGIBLE = 0, 1, 2, -1
-
-
-def _engine_fast_kind(engine) -> int:
-    t = type(engine)
-    if t is NoEncryption or t is EncryptionEngine:
-        return _KIND_NONE
-    if t is AmdSme:
-        constants = (engine.per_miss, engine.per_writeback,
-                     engine.per_stream_miss)
-        kind = _KIND_FLAT
-    elif t is IntelMee:
-        constants = (engine.per_miss, engine.per_writeback,
-                     engine.per_stream_miss)
-        kind = _KIND_MEE
-    else:
-        return _KIND_INELIGIBLE
-    if all(float(value).is_integer() for value in constants):
-        return kind
-    return _KIND_INELIGIBLE
 
 
 class EpcModel:
@@ -137,19 +99,6 @@ class MemorySubsystem:
         self.nested_paging = nested_paging
         self.category = category
         self.asid = 1
-        # Fast-path eligibility, resolved at first touch (None = not yet
-        # checked); swapping engine/llc/tlb afterwards requires a fresh
-        # subsystem.
-        self._fp_kind: int | None = None
-
-    def _resolve_fp_kind(self) -> int:
-        kind = _KIND_INELIGIBLE
-        if _INTEGRAL_COSTS and type(self.llc) is Llc \
-                and type(self.tlb) is Tlb \
-                and (self.epc is None or type(self.epc) is EpcModel):
-            kind = _engine_fast_kind(self.engine)
-        self._fp_kind = kind
-        return kind
 
     # -- the hot path ---------------------------------------------------------
 
@@ -160,40 +109,7 @@ class MemorySubsystem:
         """
         if size <= 0:
             return 0.0
-        if fastpath.MODE:
-            kind = self._fp_kind
-            if kind is None:
-                kind = self._resolve_fp_kind()
-            if kind >= 0:
-                return self._touch_fast(addr, size, write, False, kind)
-        charged = 0.0
-        first_line = addr // costs.CACHE_LINE
-        last_line = (addr + size - 1) // costs.CACHE_LINE
-        first_page = addr // PAGE_SIZE
-        last_page = (addr + size - 1) // PAGE_SIZE
-
-        for page in range(first_page, last_page + 1):
-            if self.tlb.lookup(self.asid, page * PAGE_SIZE) is None:
-                walk = (costs.PAGE_WALK_NESTED_CYCLES if self.nested_paging
-                        else costs.PAGE_WALK_GUEST_CYCLES)
-                charged += walk
-                self.tlb.insert(self.asid, page * PAGE_SIZE, page * PAGE_SIZE,
-                                flags=0)
-            if self.epc is not None:
-                charged += self.epc.access(page)
-
-        for line in range(first_line, last_line + 1):
-            hit, evicted_dirty = self.llc.access_ex(line, write=write)
-            if hit:
-                charged += costs.LLC_HIT_CYCLES
-            else:
-                charged += costs.DRAM_CYCLES
-                charged += self.engine.miss_cycles(line, write=write)
-            if evicted_dirty:
-                charged += self.engine.writeback_cycles()
-
-        self.cycles.charge(charged, self.category)
-        return charged
+        return self._touch(addr, size, write, False)
 
     def touch_sequential(self, addr: int, size: int, *,
                          write: bool = False) -> float:
@@ -206,44 +122,11 @@ class MemorySubsystem:
         """
         if size <= 0:
             return 0.0
-        if fastpath.MODE:
-            kind = self._fp_kind
-            if kind is None:
-                kind = self._resolve_fp_kind()
-            if kind >= 0:
-                return self._touch_fast(addr, size, write, True, kind)
-        charged = 0.0
-        first_line = addr // costs.CACHE_LINE
-        last_line = (addr + size - 1) // costs.CACHE_LINE
-        words_per_line = costs.CACHE_LINE // 8
+        return self._touch(addr, size, write, True)
 
-        for page in range(addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE + 1):
-            if self.tlb.lookup(self.asid, page * PAGE_SIZE) is None:
-                walk = (costs.PAGE_WALK_NESTED_CYCLES if self.nested_paging
-                        else costs.PAGE_WALK_GUEST_CYCLES)
-                charged += walk
-                self.tlb.insert(self.asid, page * PAGE_SIZE, page * PAGE_SIZE,
-                                flags=0)
-            if self.epc is not None:
-                charged += self.epc.access(page)
-
-        for line in range(first_line, last_line + 1):
-            hit, evicted_dirty = self.llc.access_ex(line, write=write)
-            if hit:
-                charged += costs.LLC_HIT_CYCLES
-            else:
-                charged += costs.SEQ_STREAM_CYCLES * words_per_line
-                charged += self.engine.miss_cycles(line, write=write,
-                                                   streaming=True)
-            if evicted_dirty:
-                charged += self.engine.writeback_cycles()
-
-        self.cycles.charge(charged, self.category)
-        return charged
-
-    def _touch_fast(self, addr: int, size: int, write: bool,
-                    streaming: bool, kind: int) -> float:
-        """The layered fast path; charges identically to the legacy loops.
+    def _touch(self, addr: int, size: int, write: bool,
+               streaming: bool) -> float:
+        """The layered pipeline; charges identically to per-line loops.
 
         Page stage: the TLB's resident-key memo confirms hot hits without
         LRU bookkeeping; misses fall into the reference lookup/walk/insert
@@ -251,7 +134,7 @@ class MemorySubsystem:
         stage: one bulk :meth:`~repro.hw.cache.Llc.access_range` call,
         then closed-form cost arithmetic over the aggregate hit/miss/
         eviction counts — exact because every constant involved is
-        integral (see ``_INTEGRAL_COSTS``).
+        integral.
         """
         charged = 0.0
         tlb = self.tlb
@@ -289,14 +172,9 @@ class MemorySubsystem:
             miss_base = costs.DRAM_CYCLES
         charged += hits * costs.LLC_HIT_CYCLES + misses * miss_base
         engine = self.engine
-        if misses and kind:
-            if kind == _KIND_FLAT:
-                per = engine.per_stream_miss if streaming else engine.per_miss
-                charged += misses * per
-            else:
-                for run_start, run_stop in missed_runs:
-                    charged += engine.miss_cycles_run(
-                        run_start, run_stop, write=write, streaming=streaming)
+        if misses:
+            charged += engine.missed_cycles(misses, missed_runs, write=write,
+                                            streaming=streaming)
         if dirty_evictions:
             charged += dirty_evictions * engine.writeback_cycles()
 

@@ -187,8 +187,6 @@ class RustMonitor:
 
     # ------------------------------------------------------------------ boot --
 
-    # repro-lint: disable=R003 -- boot-time key derivation before any guest
-    # exists; no hypercall round-trip to charge (staticcheck: charge-exempt)
     def initialize_keys(self, sealed_root_key: bytes | None = None) -> bytes:
         """Create or unseal K_root, derive the attestation key, extend the
         hapk into the TPM, and flood the boot PCRs (Sec 3.3).
@@ -210,8 +208,6 @@ class RustMonitor:
             tpm.extend(idx, FLOOD_DIGEST)
         return sealed
 
-    # repro-lint: disable=R003 -- one-shot boot transition before any
-    # measured op sequence starts (staticcheck: charge-exempt)
     def demote_primary_os(self) -> None:
         """Drop the primary OS into the normal VM and arm DMA protection."""
         self.machine.iommu.enable()
@@ -292,9 +288,6 @@ class RustMonitor:
 
     # ----------------------------------------------------- normal VM policing --
 
-    # repro-lint: disable=R003 -- models the *hardware* NPT walk, free in
-    # the monitor's cycle model; the caller's memory touch pays the cost
-    # (staticcheck: charge-exempt)
     def check_normal_access(self, pa: int, length: int = 1) -> None:
         """R-1: normal-mode software may not touch reserved/enclave frames.
 
@@ -544,8 +537,6 @@ class RustMonitor:
 
     # ------------------------------------------------------- verification ------
 
-    # repro-lint: disable=R003 -- verification harness outside the guest
-    # cycle model, never called on a measured path (staticcheck: charge-exempt)
     def audit_invariants(self) -> None:
         """Check the monitor's global security invariants.
 

@@ -8,9 +8,6 @@ R002  Untrusted/SDK layers (``repro.sdk``, ``repro.apps``, ``repro.osim``)
       never call ``PhysicalMemory`` read/write primitives directly — all
       access goes through :mod:`repro.hw.memaccess` with a translate
       callback that owns the policy (paging, policing, access control).
-R003  Every public ``RustMonitor`` entry point charges the hypercall
-      round-trip (``self._charge_hypercall``): un-charged entry points
-      silently skew every cycle table.
 R004  Every telemetry span is closed: ``.span(...)`` may only appear as a
       ``with`` context expression or be returned to a caller who will.
 R005  No bare ``except:`` in the trusted layers (``repro.monitor``,
@@ -30,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-ALL_RULES = ("R001", "R002", "R003", "R004", "R005")
+ALL_RULES = ("R001", "R002", "R004", "R005")
 
 # Shared with repro.staticcheck: SC rules use the same pragma syntax.
 _DIRECTIVE = re.compile(
@@ -223,73 +220,6 @@ def check_r002(tree: ast.AST, path: str) -> list[Finding]:
     return findings
 
 
-_CHARGE_ATTRS = {"_charge_hypercall", "charge", "charge_steps"}
-
-
-def _charging_methods(cls: ast.ClassDef) -> set[str]:
-    """Methods that charge cycles, directly or through ``self.m()``
-    calls to other methods of the same class (fixpoint)."""
-    methods = {item.name: item for item in cls.body
-               if isinstance(item, ast.FunctionDef)}
-    direct: set[str] = set()
-    self_calls: dict[str, set[str]] = {}
-    for name, item in methods.items():
-        self_calls[name] = set()
-        for call in ast.walk(item):
-            if not (isinstance(call, ast.Call)
-                    and isinstance(call.func, ast.Attribute)):
-                continue
-            if call.func.attr in _CHARGE_ATTRS:
-                direct.add(name)
-            elif isinstance(call.func.value, ast.Name) \
-                    and call.func.value.id == "self" \
-                    and call.func.attr in methods:
-                self_calls[name].add(call.func.attr)
-    charging = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for name, callees in self_calls.items():
-            if name not in charging and callees & charging:
-                charging.add(name)
-                changed = True
-    return charging
-
-
-def check_r003(tree: ast.AST, path: str) -> list[Finding]:
-    """RustMonitor public entry points must charge cycles.
-
-    Interprocedural-lite: a method counts as charging if it reaches a
-    ``_charge_hypercall``/``charge``/``charge_steps`` call directly or
-    through ``self.<method>()`` calls within the class.  The fully
-    whole-program form of this rule is repro.staticcheck SC003.
-    """
-    if not path.endswith("monitor/rustmonitor.py"):
-        return []
-    findings = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ClassDef)
-                and node.name == "RustMonitor"):
-            continue
-        charging = _charging_methods(node)
-        for item in node.body:
-            if not isinstance(item, ast.FunctionDef):
-                continue
-            if item.name.startswith("_"):
-                continue
-            decorators = {d.id for d in item.decorator_list
-                          if isinstance(d, ast.Name)}
-            if "property" in decorators:
-                continue
-            if item.name not in charging:
-                findings.append(Finding(
-                    "R003", path, item.lineno,
-                    f"public entry point {item.name}() never charges "
-                    f"cycles (directly or via self-method calls); "
-                    f"un-charged hypercalls skew the cycle tables"))
-    return findings
-
-
 def check_r004(tree: ast.AST, path: str) -> list[Finding]:
     """Telemetry spans must be context-managed (or handed to the caller)."""
     allowed: set[int] = set()
@@ -326,8 +256,8 @@ def check_r005(tree: ast.AST, path: str) -> list[Finding]:
     return findings
 
 
-_CHECKS = {"R001": check_r001, "R002": check_r002, "R003": check_r003,
-           "R004": check_r004, "R005": check_r005}
+_CHECKS = {"R001": check_r001, "R002": check_r002, "R004": check_r004,
+           "R005": check_r005}
 
 
 def lint_source(source: str, path: Path, config) -> list[Finding]:

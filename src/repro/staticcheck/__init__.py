@@ -14,14 +14,11 @@ determinism (SC001/SC002)
     feeding charges or digests is flagged too.  Violations print the
     full call chain from the charged root to the forbidden source.
 
-charge coverage (SC003/SC004/SC005)
+charge coverage (SC003/SC005)
     Every configured public ``RustMonitor`` / hw entry point must reach
     a ``_charge_hypercall`` / ``CycleCounter.charge`` /
-    ``Cpu.charge_steps`` site (the interprocedural form of repro-lint
-    R003), with uncharged exit paths reported separately; and the
-    legacy/fast branches behind :mod:`repro.hw.fastpath` dispatch must
-    statically charge identical category sets — the PR-6 equivalence
-    contract, checked without running an A/B sweep.
+    ``Cpu.charge_steps`` site through any call chain, with uncharged
+    exit paths reported separately.
 
 boundary taint (SC006)
     Values originating in the untrusted layers (``sdk``, ``apps``,

@@ -5,22 +5,23 @@ fixed *simulated-cycle* interval.  It is driven by the machine's
 :class:`~repro.hw.cycles.CycleCounter` — ``charge()`` notifies the
 sampler when the running total crosses the next sample boundary — so
 samples are a pure function of the op sequence: never host time, hence
-bit-reproducible across runs, across ``REPRO_FASTPATH`` modes, and
-through flight-recorder replay.
+bit-reproducible across runs and through flight-recorder replay.
 
-Probe discipline (what keeps the A/B fast-path equivalence exact):
+Probe discipline (what keeps the batched memory pipeline and its
+per-line reference loops sampling identical rows):
 
 * Probes must read state that changes at *op* granularity (pool free
   lists, resident-page maps, swap versions, world-switch counters).
   Values mutated by ``charge()`` itself — ``total``, ``by_category`` —
-  are off limits: a batched fast-path charge crosses a boundary in one
-  jump where the legacy loop crosses it mid-batch, so sampling them
-  would read different intermediate values per mode.
+  are off limits: a batched charge crosses a boundary in one jump where
+  a per-line loop crosses it mid-batch, so sampling them would read
+  different intermediate values per batching.
 * Cycle-domain series instead receive the *boundary* cycle (the row's
-  own timestamp), which is identical in every mode by construction.
+  own timestamp), which is identical under any batching by
+  construction.
 * When one charge jumps several boundaries at once, the sampler emits
   one row **per crossed boundary**, all carrying the same probe values:
-  the legacy path crossing those boundaries one small charge at a time
+  a per-line loop crossing those boundaries one small charge at a time
   observes the same (batch-invariant) state, so row counts and contents
   match bit-for-bit.
 
@@ -167,8 +168,8 @@ class TimelineSampler:
 
 def register_machine_probes(sampler: TimelineSampler, machine) -> None:
     """The hardware-level series every timeline carries."""
-    # The clock-domain series report the boundary cycle: identical in
-    # every fast-path mode by construction (see the module docstring).
+    # The clock-domain series report the boundary cycle: identical under
+    # any charge batching by construction (see the module docstring).
     sampler.add_cycle_probe("cycles.total", lambda boundary: boundary)
     # The cost model executes all simulated work on cpu0; extra CPUs
     # exist only as TLB-shootdown IPI targets.

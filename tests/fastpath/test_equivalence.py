@@ -1,10 +1,10 @@
-"""A/B equivalence: legacy vs fast vs numpy paths are bit-identical.
+"""A/B equivalence: the shipped memory pipeline vs the reference loops.
 
-The fast paths (translation memoization, batched cycle charging,
-vectorized memory-cost kernels) are pure optimizations: every observable
-— cycle totals, per-category breakdowns, TLB/LLC/MEE counters, machine
-state fingerprints, benchmark figures — must match the legacy reference
-loops exactly, not approximately.
+The layered pipeline (translation memoization, bulk LLC kernels,
+per-run engine charges) is a pure optimization: every observable —
+cycle totals, per-category breakdowns, TLB/LLC/MEE counters, machine
+state fingerprints, benchmark figures — must match the per-line
+reference loops in ``conftest.py`` exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import random
 
 import pytest
 
-from repro.hw import costs, fastpath
+from repro.hw import costs
 from repro.hw.cache import Llc
 from repro.hw.cycles import CycleCounter
 from repro.hw.memenc import AmdSme, IntelMee
 from repro.hw.memmodel import EpcModel, MemorySubsystem
 from repro.hw.tlb import Tlb
-from tests.fastpath.conftest import ALL_MODES
+from tests.fastpath.conftest import shipped_and_reference
 
 
 def _mem_state(mem: MemorySubsystem) -> dict:
@@ -53,16 +53,6 @@ def _drive_workload(engine, *, epc_bytes: int | None = None,
     return _mem_state(mem)
 
 
-def _sweep_modes(run):
-    """Run ``run()`` under every mode; return {effective_mode: result}."""
-    results = {}
-    for requested in ALL_MODES:
-        effective = fastpath.set_mode(requested)
-        results.setdefault(effective, run())
-    fastpath.set_mode(None)
-    return results
-
-
 class TestMemorySubsystemEquivalence:
     @pytest.mark.parametrize("engine_factory,epc_bytes", [
         (AmdSme, None),
@@ -70,16 +60,13 @@ class TestMemorySubsystemEquivalence:
          8 << 20),
     ], ids=["amd-sme", "intel-mee+epc"])
     def test_all_modes_bit_identical(self, engine_factory, epc_bytes):
-        results = _sweep_modes(
+        shipped, reference = shipped_and_reference(
             lambda: _drive_workload(engine_factory(), epc_bytes=epc_bytes))
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        assert results, "no fast mode available to compare"
-        for mode, state in results.items():
-            assert state == legacy, f"mode {mode} diverged from legacy"
+        assert shipped == reference
 
     def test_membench_points_bit_identical(self):
         # The exact Figure 11 kernel, on a subset of its grid (the full
-        # legacy sweep is minutes; the per-point kernel is identical).
+        # reference sweep is minutes; the per-point kernel is identical).
         from repro.apps import membench
         configs = [
             ("none", "seq", 64 * 1024, None),
@@ -93,10 +80,8 @@ class TestMemorySubsystemEquivalence:
                 engine, pattern, size, epc_bytes=epc).cycles_per_access
                 for engine, pattern, size, epc in configs]
 
-        results = _sweep_modes(run)
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        for mode, latencies in results.items():
-            assert latencies == legacy, f"mode {mode} diverged from legacy"
+        shipped, reference = shipped_and_reference(run)
+        assert shipped == reference
 
 
 class TestBenchmarkEquivalence:
@@ -119,11 +104,9 @@ class TestBenchmarkEquivalence:
                 "by_subsystem": doc["combined"]["by_subsystem"],
             }
 
-        results = _sweep_modes(run)
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        assert legacy["fingerprints"], "table1 must fingerprint machines"
-        for mode, state in results.items():
-            assert state == legacy, f"mode {mode} diverged from legacy"
+        shipped, reference = shipped_and_reference(run)
+        assert reference["fingerprints"], "table1 must fingerprint machines"
+        assert shipped == reference
 
 
 class TestMeeReset:

@@ -1,9 +1,9 @@
-"""A/B equivalence of timeline sampling across REPRO_FASTPATH modes.
+"""A/B equivalence of timeline sampling: shipped pipeline vs reference.
 
 The sampler's probe discipline (op-granularity state only, boundary
 cycles for clock-domain series, one row per crossed boundary) exists so
-that a batched fast-path charge and the legacy per-op loop produce the
-*same rows*.  This sweeps a swap-heavy workload under every mode and
+that a batched pipeline charge and the per-line reference loop produce
+the *same rows*.  This runs a swap-heavy workload through both and
 asserts the serialized timeline documents are bit-identical.
 """
 
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 
-from repro.hw import fastpath
 from repro.telemetry import sink as telemetry_sink
-from tests.fastpath.conftest import ALL_MODES
+from tests.fastpath.conftest import shipped_and_reference
 
 
 def _run_with_timeline() -> str:
@@ -31,12 +30,5 @@ def _run_with_timeline() -> str:
 
 
 def test_timeline_json_bit_identical_across_modes():
-    results = {}
-    for requested in ALL_MODES:
-        effective = fastpath.set_mode(requested)
-        results.setdefault(effective, _run_with_timeline())
-    fastpath.set_mode(None)
-    legacy = results.pop(fastpath.MODE_LEGACY)
-    assert results, "no fast mode available to compare"
-    for mode, serialized in results.items():
-        assert serialized == legacy, f"mode {mode} timeline diverged"
+    shipped, reference = shipped_and_reference(_run_with_timeline)
+    assert shipped == reference

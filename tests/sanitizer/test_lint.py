@@ -81,32 +81,6 @@ class TestR002:
         assert findings_for(self.SOURCE, "src/repro/hw/fake.py") == []
 
 
-class TestR003:
-    def test_uncharged_entry_point_flagged(self):
-        found = findings_for("""
-            class RustMonitor:
-                def uncharged(self):
-                    return 1
-                def charged(self):
-                    self._charge_hypercall("charged")
-                def _private(self):
-                    return 2
-                @property
-                def attribute(self):
-                    return 3
-            """, "src/repro/monitor/rustmonitor.py")
-        assert [(f.rule, f.line) for f in found] == [("R003", 3)]
-        assert "uncharged" in found[0].message
-
-    def test_other_files_exempt(self):
-        found = findings_for("""
-            class RustMonitor:
-                def uncharged(self):
-                    return 1
-            """, "src/repro/monitor/other.py")
-        assert found == []
-
-
 class TestR004:
     def test_unclosed_span_flagged(self):
         found = findings_for("""

@@ -1,4 +1,4 @@
-"""PR-8 rule upgrades: R001 alias tracking, new clocks, R003 lite-IPA."""
+"""Rule upgrades: R001 alias tracking, new clocks, shared SC pragmas."""
 
 from __future__ import annotations
 
@@ -64,40 +64,6 @@ class TestR001Gaps:
                 return time(0.5)
             """, "src/repro/hw/fake.py")
         assert found == []
-
-
-class TestR003Interprocedural:
-    def test_charge_via_self_helper_accepted(self):
-        found = findings_for("""
-            class RustMonitor:
-                def entry(self, x):
-                    return self._inner(x)
-                def _inner(self, x):
-                    self._charge_hypercall('entry')
-                    return x
-                def _charge_hypercall(self, op):
-                    self.cycles.charge(100, 'hypercall')
-            """, "src/repro/monitor/rustmonitor.py")
-        assert [f.rule for f in found] == []
-
-    def test_charge_steps_counts_as_charging(self):
-        found = findings_for("""
-            class RustMonitor:
-                def fault(self, va):
-                    self.cpu.charge_steps([1, 2], 'fault')
-            """, "src/repro/monitor/rustmonitor.py")
-        assert found == []
-
-    def test_never_charging_entry_still_flagged(self):
-        found = findings_for("""
-            class RustMonitor:
-                def forgotten(self, x):
-                    return self._lookup(x)
-                def _lookup(self, x):
-                    return x + 1
-            """, "src/repro/monitor/rustmonitor.py")
-        assert [f.rule for f in found] == ["R003"]
-        assert "forgotten" in found[0].message
 
 
 class TestSharedScPragmas:

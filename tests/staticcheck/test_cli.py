@@ -65,8 +65,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("SC001", "SC002", "SC003", "SC004", "SC005",
-                     "SC006"):
+        for rule in ("SC001", "SC002", "SC003", "SC005", "SC006"):
             assert rule in out
 
 
