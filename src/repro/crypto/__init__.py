@@ -7,8 +7,9 @@ suite in pure Python:
 * :mod:`repro.crypto.hashes` -- SHA-256 / HMAC / HKDF helpers.
 * :mod:`repro.crypto.rsa`    -- RSA keygen (Miller-Rabin), PKCS#1-v1.5-style
   signatures over SHA-256.
-* :mod:`repro.crypto.cipher` -- SHA-256-CTR stream cipher with an
-  encrypt-then-MAC AEAD wrapper (used by TPM seal and enclave sealing).
+* :mod:`repro.crypto.cipher` -- SHAKE-256 stream cipher with an
+  encrypt-then-MAC AEAD wrapper (used by EPC page swapping, TPM seal and
+  enclave sealing).
 
 Keys are generated from a deterministic DRBG when a seed is supplied so the
 whole simulation is reproducible.

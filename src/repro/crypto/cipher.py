@@ -1,14 +1,18 @@
-"""A SHA-256-CTR stream cipher with encrypt-then-MAC AEAD, plus a DRBG.
+"""A SHAKE-256 stream cipher with encrypt-then-MAC AEAD, plus a DRBG.
 
-Used by the TPM's seal operation and by the enclave sealing API.  The
-construction is textbook: ``keystream[i] = SHA256(key || nonce || i)``,
-ciphertext is XOR, and an HMAC-SHA-256 tag covers nonce, associated data
+Used by EPC page swapping, the TPM's seal operation, the enclave sealing
+API and the attested channel.  The construction: the key splits into
+``enc_key = SHA256("enc" || key)`` and ``mac_key = SHA256("mac" || key)``;
+the keystream is the SHAKE-256 XOF output over ``enc_key || nonce``
+(32 + 16 bytes, so the input is unambiguous), the ciphertext is the XOR,
+and an HMAC-SHA-256 tag under ``mac_key`` covers nonce, associated data
 and ciphertext.  It is real (decryption fails on any tampering), small,
 and needs no third-party packages.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 
@@ -18,22 +22,19 @@ from repro.errors import SealError
 
 NONCE_SIZE = 16
 TAG_SIZE = DIGEST_SIZE
-_COUNTER = struct.Struct("<Q").pack     # keystream block counter
 
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
     n = len(data)
-    prefix = hashlib.sha256(key + nonce)
-    pad = []
-    for block in range((n + DIGEST_SIZE - 1) // DIGEST_SIZE):
-        h = prefix.copy()
-        h.update(_COUNTER(block))
-        pad.append(h.digest())
+    stream = hashlib.shake_256(key + nonce).digest(n)
     # XOR the whole buffer as one big-int operation.
-    stream = int.from_bytes(b"".join(pad)[:n], "little")
-    return (int.from_bytes(data, "little") ^ stream).to_bytes(n, "little")
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(stream, "little")).to_bytes(n, "little")
 
 
+# Swap keys are per enclave and seal keys per identity, so a small cache
+# covers a run; a miss only recomputes two hashes.
+@functools.lru_cache(maxsize=256)
 def _split_keys(key: bytes) -> tuple[bytes, bytes]:
     enc = sha256(b"enc", key)
     mac = sha256(b"mac", key)

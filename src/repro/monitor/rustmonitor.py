@@ -645,7 +645,9 @@ class RustMonitor:
                       if e.state is EnclaveState.INITIALIZED]
         for enclave in sorted(candidates, key=lambda e: -len(e.pages)):
             state = self._swap_state(enclave)
-            for page in list(enclave.pages.values()):
+            # Iterating the live dict is safe only because the loop
+            # returns right after swap_out_page deletes the victim.
+            for page in enclave.pages.values():
                 page_va = enclave.secs.base + page.offset
                 if page.page_type is PageType.REG and \
                         page_va not in state.records:

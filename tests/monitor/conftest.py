@@ -15,9 +15,8 @@ from repro.monitor.structs import (EnclaveConfig, EnclaveMode, PagePerm,
 VENDOR_KEY = cached_keypair(b"vendor-signing-key", 768)
 
 
-@pytest.fixture
-def platform():
-    """A booted machine with RustMonitor running."""
+def boot_platform():
+    """A booted machine with RustMonitor running: ``(machine, boot)``."""
     machine = Machine(MachineConfig(
         phys_size=512 * 1024 * 1024,
         reserved_base=256 * 1024 * 1024,
@@ -26,6 +25,12 @@ def platform():
     result = measured_late_launch(machine,
                                   monitor_private_size=32 * 1024 * 1024)
     return machine, result
+
+
+@pytest.fixture
+def platform():
+    """A booted machine with RustMonitor running."""
+    return boot_platform()
 
 
 def build_minimal_enclave(monitor, machine, *, mode=EnclaveMode.GU,

@@ -1,13 +1,17 @@
 """Tests for enclave page swapping (EWB/ELDU analog, Sec 3.2)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import (MonitorError, PhysicalMemoryError,
+from repro.crypto.cipher import NONCE_SIZE, TAG_SIZE, aead_decrypt
+from repro.errors import (MonitorError, PhysicalMemoryError, SealError,
                           SecurityViolation)
 from repro.hw.phys import PAGE_SIZE, OwnerKind
 from repro.monitor.enclave import ENCLAVE_BASE_VA
+from repro.monitor.swap import _aad
 
-from .conftest import build_minimal_enclave
+from .conftest import boot_platform, build_minimal_enclave
 
 HEAP_VA = ENCLAVE_BASE_VA + 16 * PAGE_SIZE
 
@@ -122,12 +126,126 @@ class TestSwapSecurity:
         with pytest.raises(SecurityViolation):
             monitor.handle_enclave_page_fault(eid, HEAP_VA)
 
+    def test_aad_binds_va_and_version(self, grown):
+        """Versions are unique per enclave, so no store attack can pair
+        a blob with another VA at the same version; check the binding on
+        the AEAD directly."""
+        _, monitor, eid, enclave = grown
+        monitor.swap_out(eid, HEAP_VA)
+        state = monitor._swap_state(enclave)
+        record = state.records[HEAP_VA]
+        blob = monitor.swap_store.get(record.token)
+        assert aead_decrypt(state.key, blob,
+                            aad=_aad(HEAP_VA, record.version))[:5] == b"PAGE0"
+        for va, version in ((HEAP_VA + PAGE_SIZE, record.version),
+                            (HEAP_VA, record.version + 1)):
+            with pytest.raises(SealError):
+                aead_decrypt(state.key, blob, aad=_aad(va, version))
+
     def test_swap_keys_differ_per_enclave(self, platform):
         machine, boot = platform
         monitor = boot.monitor
         eid1, e1 = build_minimal_enclave(monitor, machine, code=b"one")
         eid2, e2 = build_minimal_enclave(monitor, machine, code=b"two")
         assert monitor._swap_state(e1).key != monitor._swap_state(e2).key
+
+
+BLOB_SIZE = NONCE_SIZE + PAGE_SIZE + TAG_SIZE
+RIG_PAGES = 4
+
+
+def page_content(i):
+    return bytes((i * 31 + j * 7) & 255 for j in range(PAGE_SIZE))
+
+
+@pytest.fixture(scope="module")
+def swap_rig():
+    """An enclave whose heap pages each hold a distinct full page.
+
+    Shared by every example of the property test below, each of which
+    leaves all pages committed with their original content again.
+    """
+    machine, boot = boot_platform()
+    monitor = boot.monitor
+    eid, enclave = build_minimal_enclave(monitor, machine)
+    for i in range(RIG_PAGES):
+        va = HEAP_VA + i * PAGE_SIZE
+        monitor.handle_enclave_page_fault(eid, va, write=True)
+        machine.phys.write(enclave.translate(va, write=True), page_content(i))
+    return machine, monitor, eid, enclave
+
+
+ATTACKS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, BLOB_SIZE - 1),
+              st.integers(1, 255)),
+    st.tuples(st.just("substitute"), st.integers(1, RIG_PAGES - 1)),
+    st.tuples(st.just("replay")),
+)
+
+
+class TestSwapTamperProperty:
+    """Whatever the backing store hands back instead of the genuine blob
+    is refused and changes nothing; the genuine blob still restores the
+    page (ROADMAP aim 3: properties under random choices)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(page=st.integers(0, RIG_PAGES - 1), attack=ATTACKS)
+    @example(page=0, attack=("flip", 0, 1))                        # nonce
+    @example(page=0, attack=("flip", NONCE_SIZE - 1, 0x80))
+    @example(page=0, attack=("flip", NONCE_SIZE, 1))               # ct
+    @example(page=0, attack=("flip", NONCE_SIZE + PAGE_SIZE - 1, 1))
+    @example(page=0, attack=("flip", BLOB_SIZE - TAG_SIZE, 1))     # tag
+    @example(page=0, attack=("flip", BLOB_SIZE - 1, 0xFF))
+    @example(page=1, attack=("substitute", 2))
+    @example(page=3, attack=("replay",))
+    def test_forged_blob_refused_and_genuine_restores(self, swap_rig, page,
+                                                      attack):
+        machine, monitor, eid, enclave = swap_rig
+        state = monitor._swap_state(enclave)
+        store = monitor.swap_store
+        va = HEAP_VA + page * PAGE_SIZE
+        other = other_va = None
+        if attack[0] == "replay":
+            # An older, once-genuine blob of the same page.
+            monitor.swap_out(eid, va)
+            forged = store.get(state.records[va].token)
+            monitor.handle_enclave_page_fault(eid, va, write=True)
+        monitor.swap_out(eid, va)
+        record = state.records[va]
+        snapshot = (record.token, record.version, record.perms)
+        genuine = store.get(record.token)
+        assert len(genuine) == BLOB_SIZE
+        if attack[0] == "flip":
+            _, index, mask = attack
+            forged = bytearray(genuine)
+            forged[index] ^= mask
+            forged = bytes(forged)
+        elif attack[0] == "substitute":
+            other = (page + attack[1]) % RIG_PAGES
+            other_va = HEAP_VA + other * PAGE_SIZE
+            monitor.swap_out(eid, other_va)
+            forged = store.get(state.records[other_va].token)
+        assert forged != genuine
+        store._blobs[record.token] = forged
+
+        free_before = monitor.epc_pool.free_pages
+        with pytest.raises(SecurityViolation, match="integrity"):
+            monitor.handle_enclave_page_fault(eid, va)
+        assert state.records[va] is record
+        assert (record.token, record.version, record.perms) == snapshot
+        assert enclave.page_at(va) is None
+        assert monitor.epc_pool.free_pages == free_before
+
+        store._blobs[record.token] = genuine
+        monitor.handle_enclave_page_fault(eid, va)
+        assert va not in state.records
+        assert machine.phys.read(enclave.translate(va), PAGE_SIZE) \
+            == page_content(page)
+        if other_va is not None:
+            monitor.handle_enclave_page_fault(eid, other_va)
+            assert machine.phys.read(enclave.translate(other_va), PAGE_SIZE) \
+                == page_content(other)
+        assert not state.records
 
 
 class TestPoolPressureReclaim:
