@@ -12,7 +12,7 @@ One artifact per benchmark run, containing
 * ``provenance`` — cost-model fingerprint, python version, git commit.
 
 Everything in ``metrics`` is a deterministic function of the simulation
-(repro-lint R001 bans wall clocks and unseeded randomness there), so a
+(staticcheck SC001 bans wall clocks and unseeded randomness there), so a
 committed baseline reproduces bit-identically until someone changes the
 cost model — which is exactly what the gate is for.
 """
@@ -133,7 +133,7 @@ def provenance() -> dict:
         "costs_fingerprint": costs_fingerprint(),
         "python": ".".join(map(str, sys.version_info[:3])),
         "git_commit": _git_commit(),
-        "determinism": "seeded simulation (repro-lint R001)",
+        "determinism": "seeded simulation (staticcheck SC001)",
         "fastpath": fastpath.mode_name(),
     }
 

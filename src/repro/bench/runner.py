@@ -38,6 +38,8 @@ SLOWDOWN_ENV = "REPRO_BENCH_SLOWDOWN_S"
 
 def _injected_slowdown() -> float:
     try:
+        # repro-lint: disable=SC001 -- host knob: seconds slept in the
+        # timed window; never read by simulated code or fed to a charge
         return float(os.environ.get(SLOWDOWN_ENV, "") or 0.0)
     except ValueError:
         return 0.0

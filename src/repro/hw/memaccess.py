@@ -6,7 +6,7 @@ goes through one of these helpers with a *translate* callback supplied
 by the caller.  The callback owns policy: page-table walks, demand
 paging, monitor policing, enclave access control.  Keeping the raw
 ``phys.read``/``phys.write`` calls here (hardware layer) is what the
-repro-lint rule R002 enforces.
+static checker's SC006 enforces (``python -m repro.staticcheck``).
 """
 
 from __future__ import annotations

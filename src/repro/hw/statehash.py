@@ -6,7 +6,7 @@ state?".  :func:`canonical` normalizes arbitrary simulator values
 (enums, bytes, dicts, dataclass-ish objects) into a deterministic,
 JSON-like text form; :func:`digest` hashes it.  Everything here is a
 pure function of the simulation — no wall clocks, ids, or dict order
-leaks (repro-lint R001 applies to the artifacts these digests land in).
+leaks (staticcheck SC001 applies to the artifacts these digests land in).
 """
 
 from __future__ import annotations

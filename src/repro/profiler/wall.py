@@ -25,8 +25,8 @@ profiler stays a pure observer, and the only gated wall metric
 (see :mod:`repro.bench.compare`).
 
 ``host_clock_ns()`` is the single sanctioned host-time source for the
-bench harness; keeping it here keeps the R001 wall-clock exemption to
-one justified module (see ``[tool.repro-lint]`` in pyproject.toml).
+bench harness; keeping it here keeps the SC001 wall-clock exemption to
+one justified module (see ``determinism-exclude`` in pyproject.toml).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def host_clock_ns() -> int:
     """The harness host-time source (``time.perf_counter_ns``).
 
     Only harness-side code (bench runner, exporters) may call this;
-    cycle-charged simulation code is kept wall-clock-free by lint rule
-    R001.
+    cycle-charged simulation code is kept wall-clock-free by staticcheck
+    rule SC001.
     """
     return time.perf_counter_ns()
 

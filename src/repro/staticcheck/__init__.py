@@ -1,14 +1,14 @@
 """Whole-program static verifier for the reproduction's core contracts.
 
-``repro-lint`` (:mod:`repro.sanitizer.rules`) checks one line at a time;
-the runtime sanitizer checks one *run* at a time.  This package closes
-the gap between them: a conservative whole-program analysis over
-``src/repro`` — real symbol table, import/alias resolution, class
-method dispatch — running three interprocedural passes:
+The runtime sanitizer checks one *run* at a time; this package is the
+repository's one static checker: a conservative whole-program analysis
+over ``src/repro`` — real symbol table, import/alias resolution, class
+method dispatch, module bodies indexed as ``<module>`` — running three
+interprocedural passes and one per-function pass:
 
 determinism (SC001/SC002)
-    No function reachable from cycle-charged code (the hw/monitor/osim
-    hot paths) may transitively reach a wall clock, unseeded randomness,
+    No function outside the host-side observers (``determinism-exclude``)
+    may transitively reach a wall clock, unseeded randomness,
     ``os.environ`` or an ``id()``-keyed value, except the sanctioned
     ``repro.profiler.wall.host_clock_ns``.  Unordered-``set`` iteration
     feeding charges or digests is flagged too.  Violations print the
@@ -25,12 +25,18 @@ boundary taint (SC006)
     ``osim``) must flow through the marshalling/validation layers
     (``edger8r``/EDL/uRTS/tRTS, ``repro.hw.memaccess``, or a public
     ``RustMonitor`` hypercall) before reaching trusted monitor/hw
-    sinks such as raw physical memory, frame pools or page tables.
+    sinks such as raw physical memory, frame pools or page tables.  A
+    direct ``PhysicalMemory`` read/write from an untrusted layer is
+    flagged even inside a barrier module.
+
+hygiene (SC007/SC008)
+    Every telemetry ``.span(...)`` is a ``with`` item or returned; no
+    bare ``except:`` in the trusted monitor/hw layers.
 
 Run it with ``python -m repro.staticcheck src/repro`` (text, JSON or
 SARIF output).  Findings are gated against a committed baseline so CI
-fails only on *new* violations, and suppression pragmas share the
-``# repro-lint: disable=SCnnn -- why`` syntax with repro-lint.  See
+fails only on *new* violations; a finding is waived in place with a
+justified ``# repro-lint: disable=SCnnn -- why`` pragma.  See
 ``docs/STATIC_ANALYSIS.md``.
 """
 

@@ -2,9 +2,9 @@
 
 :func:`analyze` is the single programmatic entry point — the CLI, the
 test suite and the mutation corpus all go through it.  Suppression
-pragmas use the repro-lint comment syntax (``# repro-lint:
-disable=SC001 -- why``) and are honored at either the finding's line
-or the enclosing function's ``def`` line; suppressed findings stay in
+pragmas (``# repro-lint: disable=SC001 -- why``, parsed in
+:mod:`repro.staticcheck.project`) are honored at either the finding's
+line or the enclosing function's ``def`` line; suppressed findings stay in
 the result, flagged, so reports can show what was waived and why.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.staticcheck import charges, determinism, taint
+from repro.staticcheck import charges, determinism, hygiene, taint
 from repro.staticcheck.callgraph import build_facts
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
@@ -39,6 +39,8 @@ def analyze(paths: list[Path],
         raw.extend(charges.run(project, facts, config))
     if config.rule_enabled("SC006"):
         raw.extend(taint.run(project, facts, config))
+    if config.rule_enabled("SC007") or config.rule_enabled("SC008"):
+        raw.extend(hygiene.run(project))
 
     findings: list[StaticFinding] = []
     for finding in raw:

@@ -195,9 +195,12 @@ class _BodyVisitor(ast.NodeVisitor):
             if isinstance(symbol, ClassInfo):
                 self._emit_constructor(node, symbol, receiver)
                 return
-            self._record_external(dotted, node.lineno)
-            self._emit(node, attr, external=dotted, receiver=receiver)
-            return
+            if dotted.split(".")[0] not in self.project.packages:
+                self._record_external(dotted, node.lineno)
+                self._emit(node, attr, external=dotted, receiver=receiver)
+                return
+            # A method of a project object (``module.instance.m()``):
+            # dispatch by name like any unresolved receiver.
 
         # Unresolvable receiver: conservative name-based dispatch to
         # every project method with this name.

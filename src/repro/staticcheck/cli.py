@@ -1,8 +1,8 @@
 """Command-line driver: ``python -m repro.staticcheck [paths...]``.
 
-Exit codes follow repro-lint: ``0`` when the analysis exactly matches
-the committed baseline (or is clean), ``1`` when there are new
-findings *or* stale baseline entries, ``2`` for usage errors.  The
+Exit codes: ``0`` when the analysis exactly matches the committed
+baseline (or is clean), ``1`` when there are new findings *or* stale
+baseline entries, ``2`` for usage errors and unparsable files.  The
 baseline is resolved from ``--baseline``, then ``[tool.repro-
 staticcheck] baseline`` relative to the nearest ``pyproject.toml``,
 then an empty baseline (every finding is new).
@@ -82,7 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.disable:
         config.disable = tuple(config.disable) + tuple(args.disable)
 
-    findings = analyze(paths, config)
+    try:
+        findings = analyze(paths, config)
+    except SyntaxError as exc:
+        print(f"error: cannot parse {exc.filename}:{exc.lineno}: {exc.msg}",
+              file=sys.stderr)
+        return 2
 
     if args.no_baseline:
         delta = Baseline().delta(findings)

@@ -3,7 +3,7 @@
 All keys are optional; the defaults encode the repository's actual
 trust and charging structure so a bare ``python -m repro.staticcheck
 src/repro`` is meaningful.  Path values are substring fragments matched
-against POSIX-style file paths, exactly like ``[tool.repro-lint]``.
+against POSIX-style file paths.
 
 Recognized keys::
 
@@ -11,8 +11,7 @@ Recognized keys::
     disable = ["SC005"]                 # rules turned off entirely
     exclude = ["repro/vendored/"]       # paths skipped by every pass
     baseline = "staticcheck-baseline.json"   # relative to pyproject
-    determinism-roots = ["repro/hw/", "repro/monitor/", "repro/osim/"]
-    determinism-exclude = ["repro/telemetry/"]   # traversal cut here
+    determinism-exclude = ["repro/telemetry/"]   # not roots; traversal cut
     sanctioned-clocks = ["repro.profiler.wall.host_clock_ns"]
     charge-entry-points = ["repro.monitor.rustmonitor:RustMonitor.*"]
     charge-exempt = ["RustMonitor.initialize_keys -- boot-time setup"]
@@ -27,21 +26,14 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer.lintconfig import find_pyproject
-
 DEFAULT_BASELINE = "staticcheck-baseline.json"
 
-DEFAULT_DETERMINISM_ROOTS = (
-    "repro/hw/", "repro/monitor/", "repro/osim/")
-
-# Observer layers the determinism traversal does not descend into:
-# telemetry/profiler/flight-recorder code legitimately reads host state
-# (and is barred from feeding the simulated clock by repro-lint R001 +
-# the runtime zero-perturbation pins instead).
-DEFAULT_DETERMINISM_EXCLUDE = (
-    "repro/telemetry/", "repro/profiler/", "repro/flightrec/",
-    "repro/bench/", "repro/analysis/", "repro/sanitizer/",
-    "repro/staticcheck/")
+# Every function is a determinism root except in these host-side
+# observers, which read the host clock to report host runtime next to
+# simulated cycles and never feed a charge; the traversal is cut there
+# too.  The repository's pyproject narrows telemetry/ to its host-side
+# files.
+DEFAULT_DETERMINISM_EXCLUDE = ("repro/telemetry/", "repro/profiler/wall.py")
 
 DEFAULT_SANCTIONED_CLOCKS = ("repro.profiler.wall.host_clock_ns",)
 
@@ -80,7 +72,6 @@ class StaticcheckConfig:
     disable: tuple[str, ...] = ()
     exclude: tuple[str, ...] = ()
     baseline: str = DEFAULT_BASELINE
-    determinism_roots: tuple[str, ...] = DEFAULT_DETERMINISM_ROOTS
     determinism_exclude: tuple[str, ...] = DEFAULT_DETERMINISM_EXCLUDE
     sanctioned_clocks: tuple[str, ...] = DEFAULT_SANCTIONED_CLOCKS
     charge_entry_points: tuple[str, ...] = DEFAULT_CHARGE_ENTRY_POINTS
@@ -112,7 +103,6 @@ class StaticcheckConfig:
 _KEYS = {
     "disable": "disable",
     "exclude": "exclude",
-    "determinism-roots": "determinism_roots",
     "determinism-exclude": "determinism_exclude",
     "sanctioned-clocks": "sanctioned_clocks",
     "charge-entry-points": "charge_entry_points",
@@ -121,6 +111,15 @@ _KEYS = {
     "taint-barriers": "taint_barriers",
     "taint-sinks": "taint_sinks",
 }
+
+
+def find_pyproject(start: Path) -> Path | None:
+    """Walk up from ``start`` to the nearest pyproject.toml."""
+    for directory in [start, *start.parents]:
+        candidate = directory / "pyproject.toml"
+        if candidate.is_file():
+            return candidate
+    return None
 
 
 def load_staticcheck_config(pyproject: Path | None) -> StaticcheckConfig:

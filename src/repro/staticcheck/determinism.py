@@ -1,10 +1,10 @@
 """SC001/SC002: the whole-program determinism pass.
 
 Cycle results must be a pure function of the op sequence.  This pass
-takes every function defined in the cycle-charged layers (the
-``determinism-roots`` path fragments — hw, monitor, osim) as a root,
-walks the conservative call graph, and flags any reachable reference
-to a nondeterminism source:
+takes every function outside the ``determinism-exclude`` path fragments
+as a root — module bodies (``<module>``) included — walks the
+conservative call graph, and flags every reachable reference to a
+nondeterminism source, one finding per call site:
 
 * wall clocks (``time.time``/``perf_counter``/``clock_gettime``/...,
   ``datetime.now``) — including renamed imports and local aliases;
@@ -13,11 +13,13 @@ to a nondeterminism source:
 * host environment (``os.environ``, ``os.getenv``);
 * ``id()`` — address-derived values change run to run.
 
-Traversal is cut at the ``determinism-exclude`` fragments (telemetry,
-profiler, flight recorder: host-side observers that never feed the
-simulated clock) and at the sanctioned ``sanctioned-clocks`` symbols.
-Each finding carries the full call chain from a charged root to the
-forbidden source.
+Traversal is cut at the ``determinism-exclude`` fragments (host-side
+telemetry exporters and the wall-clock profiler: observers that never
+feed the simulated clock) and at the sanctioned ``sanctioned-clocks``
+symbols.  Host knobs elsewhere (an env var that picks an output
+directory) carry a justified pragma instead.  Each finding carries
+the call chain to the forbidden source from a root that reaches it,
+preferring roots nothing else calls.
 
 SC002 flags ``for`` loops over raw ``set`` values whose bodies feed a
 cycle charge or a digest: Python set iteration order depends on
@@ -90,12 +92,11 @@ def _classify(dotted: str, has_args: bool,
     return None
 
 
-def _is_root(info: FunctionInfo, config: StaticcheckConfig) -> bool:
+def _in_scope(info: FunctionInfo, config: StaticcheckConfig) -> bool:
     if config.path_excluded(info.path):
         return False
-    if any(fragment in info.path for fragment in config.determinism_exclude):
-        return False
-    return any(fragment in info.path for fragment in config.determinism_roots)
+    return not any(fragment in info.path
+                   for fragment in config.determinism_exclude)
 
 
 def _raw_set_exprs(fn: ast.AST) -> dict[int, set[str]]:
@@ -139,40 +140,42 @@ def run(project: Project, facts: dict[str, FunctionFacts],
         clock.rsplit(".", 1)[0] + ":" + clock.rsplit(".", 1)[1]
         for clock in sanctioned}
 
+    # Every in-scope function is a root; exploring the uncalled ones
+    # first makes each chain start at an entry that reaches the source.
     roots = [q for q, info in project.functions.items()
-             if _is_root(info, config)]
+             if _in_scope(info, config)]
+    called = {site.callee for fn_facts in facts.values()
+              for site in fn_facts.calls}
+    roots.sort(key=lambda q: q in called)
 
     def descend(qualname: str) -> bool:
         info = project.functions.get(qualname)
         if info is None:
             return True
-        if qualname in sanctioned_quals:
-            return False
-        if config.path_excluded(info.path):
-            return False
-        return not any(fragment in info.path
-                       for fragment in config.determinism_exclude)
+        return qualname not in sanctioned_quals and _in_scope(info, config)
 
     parents = bfs_reachable(roots, facts, descend)
 
     findings: list[StaticFinding] = []
-    seen: set[tuple[str, int, str]] = set()
+    seen: set[tuple[str, str, str, int]] = set()
     for qualname in parents:
         if not descend(qualname):
             continue                  # sources inside excluded observers
         info = project.functions[qualname]
         fn_facts = facts[qualname]
-        refs = list(fn_facts.external_refs)
         # Calls carry argument presence, needed for random.Random(seed).
         arg_presence = {(site.external, site.line): site.has_args
                         for site in fn_facts.calls
                         if site.external is not None}
-        for dotted, line in refs:
+        called_here = {dotted for dotted, _ in arg_presence}
+        for dotted, line in fn_facts.external_refs:
+            if (dotted, line) not in arg_presence and dotted in called_here:
+                continue              # an alias; its call site reports it
             has_args = arg_presence.get((dotted, line), False)
             label = _classify(dotted, has_args, sanctioned)
             if label is None:
                 continue
-            key = (info.path, qualname, dotted)
+            key = (info.path, qualname, dotted, line)
             if key in seen:
                 continue
             seen.add(key)
@@ -181,7 +184,7 @@ def run(project: Project, facts: dict[str, FunctionFacts],
                 rule="SC001", path=info.path, line=line,
                 symbol=qualname, sink=dotted,
                 message=(f"{label} {dotted} is reachable from "
-                         f"cycle-charged code ({chain[0]}); simulated "
+                         f"simulation code ({chain[0]}); simulated "
                          f"results must be a pure function of the op "
                          f"sequence"),
                 chain=chain))
@@ -202,9 +205,7 @@ def _set_iteration_hazards(project: Project,
     findings: list[StaticFinding] = []
     for qualname in parents:
         info = project.functions.get(qualname)
-        if info is None or not any(
-                fragment in info.path
-                for fragment in config.determinism_roots):
+        if info is None or not _in_scope(info, config):
             continue
         fn_facts = facts[qualname]
         loops = _raw_set_exprs(info.node)

@@ -1,9 +1,9 @@
 """Finding records for the whole-program static verifier.
 
-A :class:`StaticFinding` extends the repro-lint notion of a finding
-with the *call chain* that witnesses the violation — the path through
-the conservative call graph from a charged root (or untrusted origin)
-to the forbidden sink.  Fingerprints deliberately exclude line numbers
+A :class:`StaticFinding` is one rule hit at one line, suppressed or
+not, with the *call chain* that witnesses the violation — the path
+through the conservative call graph from a charged root (or untrusted
+origin) to the forbidden sink (empty for the per-function rules).  Fingerprints deliberately exclude line numbers
 so the committed baseline survives unrelated edits to the same file.
 """
 
@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 #: rule id -> short description, used by reports and the SARIF driver.
 ALL_SC_RULES: dict[str, str] = {
-    "SC001": "nondeterministic source reachable from cycle-charged code",
+    "SC001": "nondeterministic source reachable from simulation code",
     "SC002": "unordered set iteration feeding charges or digests",
     "SC003": "entry point reaches no cycle-charge site",
     "SC005": "entry point has an uncharged exit path",
     "SC006": "untrusted value reaches a trusted sink unmarshalled",
+    "SC007": "telemetry span neither a with item nor returned",
+    "SC008": "bare except in a trusted layer (monitor, hw)",
 }
 
 

@@ -6,37 +6,98 @@ Import aliases (``import time as t``, ``from time import time as t``,
 relative imports, re-exports) are resolved per module so later passes
 can turn any name or attribute chain back into a canonical dotted path.
 
+Each module's top-level statements (module and class bodies, decorators
+and default arguments) are indexed as one ``<module>`` pseudo-function,
+so import-time code is analysed like any function body.
+
 The loader accepts an *overlay* mapping of path -> replacement source,
 which the mutation tests use to inject violations into the real tree
-without copying it.
+without copying it.  It also parses the suppression pragmas::
+
+    x = time.time()  # repro-lint: disable=SC001 -- one-line justification
+
+A directive covers its own line; a standalone comment directive also
+covers the rest of its comment block and the first code line below it.
+A directive without a justification does not suppress.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer.rules import Suppressions, parse_suppressions
+#: Name of the pseudo-function holding a module's top-level statements.
+MODULE_BODY = "<module>"
+
+_DIRECTIVE = re.compile(
+    r"#\s*repro-lint:\s*disable="
+    r"(?P<rules>SC\d{3}(?:\s*,\s*SC\d{3})*)"
+    r"(?:\s*--\s*(?P<why>\S.*))?")
+
+
+@dataclass
+class Suppressions:
+    """Per-line suppression directives parsed from source comments."""
+
+    by_line: dict[int, dict[str, str]] = field(default_factory=dict)
+
+    def lookup(self, line: int, rule: str) -> str | None:
+        """The justification if ``rule`` is suppressed on ``line``."""
+        return self.by_line.get(line, {}).get(rule)
+
+
+def parse_suppressions(source: str) -> Suppressions:
+    """Extract directives; each covers its own line, any directly
+    following comment lines, and the first code line after them."""
+    sup = Suppressions()
+    lines = source.splitlines()
+    for lineno, text in enumerate(lines, start=1):
+        match = _DIRECTIVE.search(text)
+        if match is None:
+            continue
+        why = (match.group("why") or "").strip()
+        if not why:
+            continue                    # justification is mandatory
+        rules = {r.strip() for r in match.group("rules").split(",")}
+        covered = [lineno]
+        # A standalone comment directive propagates through the rest of
+        # its comment block and onto the first code line below; an
+        # end-of-line directive covers only the line it sits on.
+        if text.strip().startswith("#"):
+            cursor = lineno
+            while cursor < len(lines):
+                nxt = lines[cursor].strip()
+                cursor += 1
+                covered.append(cursor)
+                if nxt and not nxt.startswith("#"):
+                    break               # first code line reached
+        for line in covered:
+            entry = sup.by_line.setdefault(line, {})
+            for rule in rules:
+                entry[rule] = why
+    return sup
 
 
 @dataclass
 class FunctionInfo:
-    """One top-level function or class method."""
+    """One top-level function, class method or ``<module>`` body."""
 
     name: str
     qualname: str                    # "repro.hw.memmodel:MemorySubsystem.touch"
     module_name: str
     path: str                        # POSIX-style, as scanned
-    lineno: int
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    lineno: int                      # 0 for the ``<module>`` body
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
     class_name: str | None = None
     decorators: tuple[str, ...] = ()
 
     @property
     def is_public(self) -> bool:
-        """Public per the repro-lint convention (no leading underscore)."""
-        return not self.name.startswith("_")
+        """Public by naming convention (no leading underscore); a
+        ``<module>`` body is never public."""
+        return not self.name.startswith(("_", "<"))
 
     @property
     def is_property(self) -> bool:
@@ -160,6 +221,28 @@ def dotted_of(expr: ast.AST, aliases: dict[str, str],
     return None
 
 
+def _module_level(body: list[ast.stmt], in_class: bool = False
+                  ) -> list[ast.stmt]:
+    """The statements of ``body`` that run at import time outside any
+    indexed function: plain statements, each def's decorators and
+    default arguments, and each top-level class's header and body."""
+    out: list[ast.stmt] = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            exprs = [*node.decorator_list, *node.args.defaults,
+                     *filter(None, node.args.kw_defaults)]
+        elif isinstance(node, ast.ClassDef) and not in_class:
+            exprs = [*node.decorator_list, *node.bases,
+                     *(kw.value for kw in node.keywords)]
+        else:
+            out.append(node)
+            continue
+        out.extend(ast.copy_location(ast.Expr(value=e), e) for e in exprs)
+        if isinstance(node, ast.ClassDef):
+            out.extend(_module_level(node.body, in_class=True))
+    return out
+
+
 def _decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef
                      ) -> tuple[str, ...]:
     names = []
@@ -182,6 +265,8 @@ class Project:
         #: conservative attribute-dispatch fallback.
         self.method_index: dict[str, list[FunctionInfo]] = {}
         self.suppressions: dict[str, Suppressions] = {}
+        #: top-level package names of the loaded modules (``repro``).
+        self.packages: set[str] = set()
 
     # ------------------------------------------------------------- loading --
 
@@ -222,6 +307,7 @@ class Project:
         module = ModuleInfo(name=name, path=posix, tree=tree, source=source)
         module.aliases = _collect_aliases(tree, module.package)
         self.modules[name] = module
+        self.packages.add(name.split(".")[0])
         self.suppressions[posix] = parse_suppressions(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -236,6 +322,11 @@ class Project:
                                          ast.AsyncFunctionDef)):
                         self._add_function(module, item,
                                            class_name=node.name)
+        body = FunctionInfo(
+            name=MODULE_BODY, qualname=f"{name}:{MODULE_BODY}",
+            module_name=name, path=posix, lineno=0,
+            node=ast.Module(body=_module_level(tree.body), type_ignores=[]))
+        self.functions[body.qualname] = body
 
     def _add_function(self, module: ModuleInfo,
                       node: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -331,7 +422,7 @@ class Project:
 
     def suppression_for(self, path: str, line: int,
                         rule: str) -> str | None:
-        """Shared repro-lint pragma lookup for SC rules."""
+        """The pragma justification waiving ``rule`` at ``line``."""
         sup = self.suppressions.get(path)
         if sup is None:
             return None

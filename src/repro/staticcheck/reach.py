@@ -20,29 +20,31 @@ def bfs_reachable(roots: Iterable[str],
     """Breadth-first reachability from ``roots``.
 
     Returns ``{qualname: parent_qualname_or_None}`` for every function
-    reached.  ``descend(qualname)`` gates whether edges *out of* a
+    reached.  Roots are explored in order, each only if no earlier root
+    reached it, so a chain starts at the first root that reaches its
+    target.  ``descend(qualname)`` gates whether edges *out of* a
     function are followed (the function itself is still recorded, so a
     sanctioned module boundary is visible in chains but not traversed).
     """
     parents: dict[str, str | None] = {}
-    queue: deque[str] = deque()
     for root in roots:
-        if root not in parents:
-            parents[root] = None
-            queue.append(root)
-    while queue:
-        current = queue.popleft()
-        if descend is not None and not descend(current):
+        if root in parents:
             continue
-        current_facts = facts.get(current)
-        if current_facts is None:
-            continue
-        for site in current_facts.calls:
-            callee = site.callee
-            if callee is None or callee in parents:
+        parents[root] = None
+        queue: deque[str] = deque([root])
+        while queue:
+            current = queue.popleft()
+            if descend is not None and not descend(current):
                 continue
-            parents[callee] = current
-            queue.append(callee)
+            current_facts = facts.get(current)
+            if current_facts is None:
+                continue
+            for site in current_facts.calls:
+                callee = site.callee
+                if callee is None or callee in parents:
+                    continue
+                parents[callee] = current
+                queue.append(callee)
     return parents
 
 

@@ -14,7 +14,10 @@ monitor classes — those are the sanctioned crossings.  If the walk
 still reaches a trusted sink (raw physical memory, the frame pool,
 page tables, enclave page mutation, a private ``RustMonitor`` helper),
 untrusted data has a path around the barrier and the finding prints
-the witnessing chain.
+the witnessing chain.  Barriers cut *transitive* flows only: a direct
+``PhysicalMemory`` read/write primitive called from a taint-source
+layer is flagged even inside a barrier module, because the bridges
+themselves reach memory through ``repro.hw.memaccess``.
 
 Only precise call edges are followed: name-based dispatch fan-out
 (``handle.read(...)`` matching ``PhysicalMemory.read``) would drown
@@ -68,6 +71,10 @@ _SINK_SPECS = (
 
 _TRUSTED_FRAGMENTS = ("repro/hw/", "repro/monitor/")
 
+#: Primitives no taint-source function may call directly, barrier or not.
+_RAW_PHYS = frozenset(f"PhysicalMemory.{name}" for name in (
+    "read", "write", "read_u64", "write_u64", "zero_frame"))
+
 
 def _build_sinks(project: Project) -> dict[str, str]:
     """qualname -> human label for every trusted-sink function."""
@@ -107,15 +114,11 @@ def run(project: Project, facts: dict[str, FunctionFacts],
     for extra in config.taint_sinks:
         sinks.setdefault(extra, "configured sink")
 
-    roots = []
-    for qualname, info in project.functions.items():
-        if config.path_excluded(info.path):
-            continue
-        if not any(f in info.path for f in config.taint_sources):
-            continue
-        if _is_barrier(info, config):
-            continue
-        roots.append(qualname)
+    sources = {q: info for q, info in project.functions.items()
+               if not config.path_excluded(info.path)
+               and any(f in info.path for f in config.taint_sources)}
+    roots = [q for q, info in sources.items()
+             if not _is_barrier(info, config)]
 
     # Precise-edge BFS with barrier cuts, parent pointers for chains.
     parents: dict[str, str | None] = {q: None for q in roots}
@@ -135,12 +138,17 @@ def run(project: Project, facts: dict[str, FunctionFacts],
 
     findings: list[StaticFinding] = []
     seen: set[tuple[str, int, str]] = set()
-    for qualname in parents:
+    for qualname in dict.fromkeys([*parents, *sources]):
         info = project.functions.get(qualname)
-        if info is None or _is_barrier(info, config):
+        if info is None:
+            continue
+        barrier = _is_barrier(info, config)
+        if barrier and qualname not in sources:
             continue
         for site in facts[qualname].calls:
             if site.callee is None or site.callee not in sinks:
+                continue
+            if barrier and site.callee.split(":")[-1] not in _RAW_PHYS:
                 continue
             if not site.precise:
                 hints = _sink_hints(site.attr)

@@ -82,7 +82,7 @@ class UnclosedSpanError(RuntimeError):
     An open span has not yet folded its cycles into its parent's
     self-cycle accounting, so any profile or snapshot taken now would
     silently misattribute cycles.  This is the runtime counterpart of
-    lint rule R004 (spans must be context-managed).
+    staticcheck rule SC007 (spans must be context-managed).
     """
 
 

@@ -27,7 +27,7 @@ def _guard_open_spans(telemetry: Telemetry, label: str,
 
     An open span has not yet attributed its cycles to its parent, so a
     snapshot taken now would carry wrong self-cycle numbers — the
-    runtime counterpart of lint rule R004.
+    runtime counterpart of staticcheck rule SC007.
     """
     open_names = telemetry.open_span_names()
     if open_names:

@@ -62,10 +62,25 @@ class TestExitCodes:
         assert main([tree(BAD_HW), "--no-baseline",
                      "--disable", "SC001"]) == 0
 
+    def test_pyproject_disable(self, tree, tmp_path, capsys):
+        root = tree(BAD_HW)
+        assert main([root, "--no-baseline"]) == 1
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-staticcheck]\ndisable = ["SC001"]\n')
+        assert main([root, "--no-baseline"]) == 0
+
+    def test_exit_two_on_syntax_error(self, tmp_path, capsys):
+        (tmp_path / "broken.py").write_text("x = 1\ndef (:\n")
+        assert main([str(tmp_path), "--no-baseline"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse ")
+        assert "broken.py:2:" in err
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("SC001", "SC002", "SC003", "SC005", "SC006"):
+        for rule in ("SC001", "SC002", "SC003", "SC005", "SC006", "SC007",
+                     "SC008"):
             assert rule in out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.staticcheck.config import StaticcheckConfig
 
 
@@ -10,7 +12,87 @@ def by_rule(findings, rule):
     return [f for f in findings if f.rule == rule and not f.suppressed]
 
 
+def one_call(call, imports="import time", path="hw/fake.py"):
+    """A one-file tree whose single function returns ``call``."""
+    return {path: f'''
+        """Fixture."""
+        {imports}
+
+        def probe(seed):
+            """Probe."""
+            return {call}
+        '''}
+
+
+#: Single-source inputs: id -> (files, the one expected SC001 sink).
+FLAGGED = {
+    "wall_clock": (one_call("time.perf_counter()"), "time.perf_counter"),
+    "clock_gettime": (one_call("time.clock_gettime(0)"),
+                      "time.clock_gettime"),
+    "clock_gettime_ns": (one_call("time.clock_gettime_ns(0)"),
+                         "time.clock_gettime_ns"),
+    "module_alias": (one_call("tm.time()", "import time as tm"),
+                     "time.time"),
+    "from_import_alias": (one_call("t()", "from time import time as t"),
+                          "time.time"),
+    "aliased_random": (one_call("ri(0, 9)",
+                                "from random import randint as ri"),
+                       "random.randint"),
+    "global_random": (one_call("random.randrange(10)", "import random",
+                               "apps/fake.py"), "random.randrange"),
+    "unseeded_rng": (one_call("random.Random()", "import random",
+                              "apps/fake.py"), "random.Random"),
+    "sdk": (one_call("time.time()", path="sdk/fake.py"), "time.time"),
+    "libos": (one_call("time.time()", path="libos/fake.py"), "time.time"),
+    "crypto": (one_call("time.time()", path="crypto/fake.py"),
+               "time.time"),
+    "platform": (one_call("time.time()", path="platform.py"), "time.time"),
+    "module_level": ({"hw/fake.py": '''
+        """Fixture."""
+        import time
+
+        _T0 = time.time()
+        '''}, "time.time"),
+}
+
+#: Inputs that must stay clean: id -> (files, config).
+CLEAN = {
+    "seeded_rng": (one_call("random.Random(seed).randrange(10)",
+                            "import random", "apps/fake.py"), None),
+    "unrelated_alias": (one_call("time(0.5)", "from math import sin as time"),
+                        None),
+    "config_exclude": (one_call("time.time()", path="telemetry/fake.py"),
+                       StaticcheckConfig(
+                           determinism_exclude=("repro/telemetry/",))),
+}
+
+
 class TestSC001:
+    @pytest.mark.parametrize("case", FLAGGED)
+    def test_single_source_flagged(self, run_passes, case):
+        files, sink = FLAGGED[case]
+        found = run_passes(files)
+        assert [(f.rule, f.sink, f.suppressed) for f in found] == \
+            [("SC001", sink, False)]
+        assert "must be a pure function" in found[0].message
+
+    @pytest.mark.parametrize("case", FLAGGED)
+    def test_single_source_silent_when_disabled(self, run_passes, case):
+        # The twin of test_single_source_flagged: nothing but SC001 sees
+        # the input, so that test proves SC001 ran.
+        files, _ = FLAGGED[case]
+        assert run_passes(files, StaticcheckConfig(disable=("SC001",))) == []
+
+    @pytest.mark.parametrize("case", CLEAN)
+    def test_clean_source_not_flagged(self, run_passes, case):
+        files, config = CLEAN[case]
+        assert run_passes(files, config) == []
+
+    def test_module_level_call_is_a_module_body_finding(self, run_passes):
+        found = run_passes(FLAGGED["module_level"][0])
+        assert [(f.symbol, f.line) for f in found] == \
+            [("repro.hw.fake:<module>", 5)]
+
     def test_direct_wall_clock_in_hw(self, run_passes):
         found = run_passes({"hw/engine.py": '''
             """Fixture."""
@@ -146,9 +228,9 @@ class TestSC001:
         })
         assert by_rule(found, "SC001") == []
 
-    def test_untracked_layer_not_a_root(self, run_passes):
-        # apps/ is not a determinism root; a wall clock there that no
-        # charged code reaches is fine.
+    def test_every_layer_is_a_root(self, run_passes):
+        # Roots are every function outside determinism-exclude: a wall
+        # clock in apps/ is flagged although no charged code calls it.
         found = run_passes({"apps/tool.py": '''
             """Fixture."""
             import time
@@ -157,7 +239,8 @@ class TestSC001:
                 """Stamp."""
                 return time.time()
             '''})
-        assert by_rule(found, "SC001") == []
+        assert [f.symbol for f in by_rule(found, "SC001")] == \
+            ["repro.apps.tool:stamp"]
 
     def test_pragma_suppresses_with_justification(self, run_passes):
         found = run_passes({"hw/engine.py": '''
@@ -176,17 +259,14 @@ class TestSC001:
 
     def test_timeline_sampler_is_a_root_despite_telemetry_exclude(
             self, run_passes):
-        # Mirrors the repository's pyproject override: the timeline
-        # sampler runs on the charged path (CycleCounter.charge calls
-        # it), so repro/telemetry/timeline.py is a determinism root
-        # even though the rest of telemetry/ is excluded observer code.
+        # Mirrors the repository's pyproject: the timeline sampler runs
+        # on the charged path (CycleCounter.charge calls it), so
+        # determinism-exclude lists telemetry's host-side files one by
+        # one and repro/telemetry/timeline.py stays a root.
         config = StaticcheckConfig(
-            determinism_roots=("repro/hw/", "repro/monitor/",
-                               "repro/osim/",
-                               "repro/telemetry/timeline.py"),
             determinism_exclude=("repro/telemetry/core.py",
                                  "repro/telemetry/export.py",
-                                 "repro/profiler/"))
+                                 "repro/profiler/wall.py"))
         files = {
             "telemetry/timeline.py": '''
                 """Fixture."""
@@ -220,6 +300,68 @@ class TestSC001:
                 return time.time()
             '''}, StaticcheckConfig(disable=("SC001",)))
         assert by_rule(found, "SC001") == []
+
+
+class TestSuppression:
+    def test_justified_suppression(self, run_passes):
+        found = run_passes(one_call(
+            "time.time()  # repro-lint: disable=SC001 -- host-side only"))
+        assert [(f.suppressed, f.justification) for f in found] == \
+            [(True, "host-side only")]
+
+    def test_directive_without_justification_does_not_suppress(
+            self, run_passes):
+        found = run_passes(one_call(
+            "time.time()  # repro-lint: disable=SC001"))
+        assert [f.suppressed for f in found] == [False]
+
+    def test_comment_block_above_covers_next_code_line(self, run_passes):
+        found = run_passes({"hw/fake.py": '''
+            import time
+            # repro-lint: disable=SC001 -- profiling shim, never charged
+            # (continued rationale on a second comment line)
+            def now():
+                return 1
+
+            def charged():
+                return time.time()
+            '''})
+        # The directive covers only its block and first code line, so the
+        # later time.time() call is still reported.
+        assert [f.suppressed for f in found] == [False]
+
+    def test_inline_directive_covers_only_its_own_line(self, run_passes):
+        found = run_passes({"hw/fake.py": '''
+            import time
+            def pair():
+                a = time.time()  # repro-lint: disable=SC001 -- host-side only
+                b = time.time()
+                return a, b
+            '''})
+        # An end-of-line directive must not bleed onto the next line, and
+        # the waived call must not hide the second one.
+        assert [(f.line, f.suppressed) for f in found] == \
+            [(4, True), (5, False)]
+
+    def test_sc_directive_parsed(self, run_passes):
+        found = run_passes({"hw/fake.py": '''
+            import time
+            x = time.time()  # repro-lint: disable=SC001 -- sanctioned knob
+            '''})
+        assert [(f.symbol, f.justification) for f in found] == \
+            [("repro.hw.fake:<module>", "sanctioned knob")]
+
+    def test_sc_directive_without_justification_ignored(self, run_passes):
+        found = run_passes({"hw/fake.py": '''
+            import time
+            x = time.time()  # repro-lint: disable=SC001
+            '''})
+        assert [f.suppressed for f in found] == [False]
+
+    def test_retired_r_codes_do_not_suppress(self, run_passes):
+        found = run_passes(one_call(
+            "time.time()  # repro-lint: disable=R001 -- old code"))
+        assert [f.suppressed for f in found] == [False]
 
 
 class TestSC002:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck.analyzer import analyze
 from repro.staticcheck.cli import main
 from repro.staticcheck.config import load_staticcheck_config
@@ -117,6 +119,58 @@ class TestInjectedViolations:
     def test_unmutated_tree_has_no_such_findings(self):
         found = analyze([SRC_REPRO], repo_config())
         assert not any("mutated" in f.symbol for f in found)
+
+
+#: Per-file checks the whole-program rules now cover: id -> (file under
+#: src/repro, text appended to it, the one expected rule).
+APPENDED = {
+    "unseeded_random_in_apps": ("apps/ycsb.py", (
+        '\n\ndef _mutated_pick():\n'
+        '    """Mutation fixture: unseeded draw in an app."""\n'
+        '    return random.random()\n'), "SC001"),
+    "module_level_clock_in_hw": ("hw/cycles.py", (
+        '\n\nimport time\n'
+        '_MUTATED_T0 = time.time()\n'), "SC001"),
+    "direct_phys_read_in_urts": ("sdk/urts.py", (
+        '\n\ndef _mutated_peek(self, pa):\n'
+        '    """Mutation fixture: barrier module reading phys directly."""\n'
+        '    return self.machine.phys.read(pa, 8)\n'), "SC006"),
+    "unclosed_span_in_swap": ("monitor/swap.py", (
+        '\n\ndef _mutated_trace(tel):\n'
+        '    """Mutation fixture: span never closed."""\n'
+        '    span = tel.span("swap")\n'
+        '    span.annotate(1)\n'), "SC007"),
+    "bare_except_in_tlb": ("hw/tlb.py", (
+        '\n\ndef _mutated_swallow(fn):\n'
+        '    """Mutation fixture: bare except in a trusted layer."""\n'
+        '    try:\n'
+        '        return fn()\n'
+        '    except:\n'
+        '        return None\n'), "SC008"),
+}
+
+
+def _site(finding):
+    return (finding.rule, finding.path, finding.line, finding.symbol,
+            finding.sink, finding.suppressed)
+
+
+@pytest.fixture(scope="module")
+def unmutated_sites():
+    """Every finding site on the live tree, before any mutation."""
+    return {_site(f) for f in analyze([SRC_REPRO], repo_config())}
+
+
+class TestAppendedViolations:
+    @pytest.mark.parametrize("case", APPENDED)
+    def test_caught_as_exactly_one_new_finding(self, unmutated_sites, case):
+        rel, text, rule = APPENDED[case]
+        target = SRC_REPRO / rel
+        found = run_with_overlay(
+            {target.as_posix(): target.read_text() + text})
+        new = [f for f in found if _site(f) not in unmutated_sites]
+        assert [(f.rule, f.path, f.suppressed) for f in new] == \
+            [(rule, target.as_posix(), False)]
 
 
 class TestEndToEndExitCodes:

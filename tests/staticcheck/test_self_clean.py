@@ -35,7 +35,7 @@ def test_cli_gate_exits_zero(monkeypatch, capsys):
 
 def test_every_suppression_pragma_has_a_justification(monkeypatch):
     # Suppressed findings must carry the pragma's why-text; an SC pragma
-    # without a justification does not suppress at all (rules.py), so
+    # without a justification does not suppress at all (project.py), so
     # every suppressed finding here proves the shared syntax works.
     monkeypatch.chdir(ROOT)
     config = load_staticcheck_config(ROOT / "pyproject.toml")
